@@ -35,7 +35,7 @@ corpus = load_corpus(
     lexicon=lexicon,
     synonym_table=table,
 )
-print(f"loaded {corpus.size} documents: {', '.join(corpus.ids)}")
+print(f"loaded {len(corpus)} documents: {', '.join(corpus.ids)}")
 print(f"synonym rows: {[row.terms for row in table.rows]}")
 
 anchor = "a01"

@@ -14,8 +14,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, CorpusError, SynsimError
+from .errors import ConfigError, CorpusError, LexiconFormatError, SynsimError, check_choice
 from .evaluation import (
+    FORMATS,
     ComparisonConfig,
     anchor_matrix,
     compare_pair,
@@ -28,18 +29,16 @@ from .evaluation import (
 from .lexicons import (
     StemLexicon,
     StopwordList,
-    SynonymTable,
     load_stem_lexicon,
     load_stopwords,
     load_synonym_table,
 )
 from .pipeline import RawDocument, normalize, preprocess, stem, tokenize
 from .similarity import MEASURES
-from .weighting import SMOOTHINGS, WeightingConfig, vectorize
+from .weighting import MODES as SCHEMES
+from .weighting import MODIFIED_IDFS, SMOOTHINGS, Corpus, WeightingConfig, vectorize
 
-MODES = ("traditional", "modified", "both")
-FORMATS = ("json", "csv")
-WEIGHTED_COMMANDS = ("sim", "matrix", "report", "vector")
+MODES = (*SCHEMES, "both")
 
 DEFAULTS = {
     "mode": "both",
@@ -49,17 +48,8 @@ DEFAULTS = {
     "modified_idf": "resolved",
 }
 
-CONFIG_FILE_KEYS = (
-    "stopwords",
-    "stems",
-    "synonyms",
-    "mode",
-    "measures",
-    "smoothing",
-    "format",
-    "out",
-    "modified_idf",
-)
+PATH_KEYS = ("stopwords", "stems", "synonyms", "out")
+CONFIG_FILE_KEYS = (*PATH_KEYS, "mode", "measures", "smoothing", "format", "modified_idf")
 
 
 class UsageError(ConfigError):
@@ -131,21 +121,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_measures(value) -> list[str]:
     if isinstance(value, str):
         value = [m.strip() for m in value.split(",") if m.strip()]
+    elif not (isinstance(value, list) and all(isinstance(m, str) for m in value)):
+        raise ConfigError(f"measures must be a string or a list of strings, not {value!r}")
     measures = list(dict.fromkeys(value))
     if not measures:
         raise ConfigError("at least one measure is required")
     for measure in measures:
-        if measure not in MEASURES:
-            raise ConfigError(
-                f"unknown measure {measure!r}; expected a subset of {MEASURES}"
-            )
+        check_choice("measure", measure, MEASURES)
     return measures
 
 
 def _load_config_file(path) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(raw)
@@ -153,9 +142,10 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    for key in data:
-        if key not in CONFIG_FILE_KEYS:
-            raise ConfigError(f"unknown config file key {key!r}")
+    for key, value in data.items():
+        check_choice("config file key", key, CONFIG_FILE_KEYS)
+        if key in PATH_KEYS and not isinstance(value, str):
+            raise ConfigError(f"config file {path}: {key!r} must be a string, not {value!r}")
     return data
 
 
@@ -171,23 +161,13 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
         return default
 
     mode = pick(args.mode, "mode", DEFAULTS["mode"])
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+    check_choice("mode", mode, MODES)
     smoothing = pick(args.smoothing, "smoothing", DEFAULTS["smoothing"])
-    if smoothing not in SMOOTHINGS:
-        raise ConfigError(
-            f"unknown smoothing {smoothing!r}; expected one of {SMOOTHINGS}"
-        )
+    check_choice("smoothing", smoothing, SMOOTHINGS)
     output_format = pick(args.format, "format", DEFAULTS["format"])
-    if output_format not in FORMATS:
-        raise ConfigError(
-            f"unknown format {output_format!r}; expected one of {FORMATS}"
-        )
+    check_choice("format", output_format, FORMATS)
     modified_idf = from_file.get("modified_idf", DEFAULTS["modified_idf"])
-    if modified_idf not in ("resolved", "raw"):
-        raise ConfigError(
-            f"unknown modified_idf {modified_idf!r}; expected 'resolved' or 'raw'"
-        )
+    check_choice("modified_idf", modified_idf, MODIFIED_IDFS)
     measures = _parse_measures(pick(args.measures, "measures", DEFAULTS["measures"]))
 
     stopwords_path = pick(args.stopwords, "stopwords")
@@ -210,28 +190,53 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
     )
 
 
-@dataclass
-class _Resources:
-    stopwords: StopwordList
-    lexicon: StemLexicon
-    synonym_table: SynonymTable | None
-
-
-def _load_resources(cfg: CliConfig) -> _Resources:
-    _require_file(cfg.stopwords_path)
-    _require_file(cfg.stems_path)
-    stopwords = load_stopwords(cfg.stopwords_path)
-    lexicon = load_stem_lexicon(cfg.stems_path)
-    table = None
-    if cfg.synonyms_path:
-        _require_file(cfg.synonyms_path)
-        table = load_synonym_table(cfg.synonyms_path, lexicon)
-    return _Resources(stopwords=stopwords, lexicon=lexicon, synonym_table=table)
-
-
 def _require_file(path):
     if not Path(path).is_file():
         raise CorpusError(f"not a readable file: {path}")
+
+
+def _read_input(load, path, *args):
+    """``load(path, *args)`` on an input file, naming the file in any error."""
+    _require_file(path)
+    try:
+        return load(path, *args)
+    except (LexiconFormatError, UnicodeDecodeError) as exc:
+        raise SynsimError(f"{path}: {exc}") from exc
+
+
+def _load_lexicons(cfg: CliConfig) -> tuple[StopwordList, StemLexicon]:
+    return (
+        _read_input(load_stopwords, cfg.stopwords_path),
+        _read_input(load_stem_lexicon, cfg.stems_path),
+    )
+
+
+def _load_corpus(cfg: CliConfig, directories) -> tuple[Corpus, list[list[str]]]:
+    """The corpus of ``directories`` for a weighted command.
+
+    Also returns the document ids of each directory, in file order.
+    """
+    if cfg.mode != "traditional" and not cfg.synonyms_path:
+        raise ConfigError(
+            f"mode {cfg.mode!r} requires --synonyms (or a synonyms entry "
+            "in the config file)"
+        )
+    stopwords, lexicon = _load_lexicons(cfg)
+    table = None
+    if cfg.synonyms_path:
+        table = _read_input(load_synonym_table, cfg.synonyms_path, lexicon)
+    read = [(directory, read_documents(directory)) for directory in directories]
+    corpus = load_corpus(read, stopwords, lexicon, table)
+    return corpus, [[doc.id for doc in docs] for _, docs in read]
+
+
+def _document_id(path, corpus_dir) -> str:
+    """The id of ``path``, which must be a ``.txt`` file in ``corpus_dir``."""
+    _require_file(path)
+    path = Path(path)
+    if path.suffix != ".txt" or path.parent.resolve() != Path(corpus_dir).resolve():
+        raise CorpusError(f"{path} is not a .txt file in the corpus directory {corpus_dir}")
+    return path.stem
 
 
 def _comparison_config(cfg: CliConfig) -> ComparisonConfig:
@@ -247,13 +252,8 @@ def _emit(cfg: CliConfig, text: str) -> None:
 
 
 def cmd_sim(cfg: CliConfig, file_a, file_b, corpus_dir) -> int:
-    _require_file(file_a)
-    _require_file(file_b)
-    resources = _load_resources(cfg)
-    corpus = load_corpus(
-        corpus_dir, resources.stopwords, resources.lexicon, resources.synonym_table
-    )
-    id_a, id_b = Path(file_a).stem, Path(file_b).stem
+    corpus, _ = _load_corpus(cfg, [corpus_dir])
+    id_a, id_b = _document_id(file_a, corpus_dir), _document_id(file_b, corpus_dir)
     comparison = _comparison_config(cfg)
     lines = []
     for measure in cfg.measures:
@@ -275,10 +275,7 @@ def _targets(corpus_ids, anchor_id) -> list[str]:
 
 
 def cmd_matrix(cfg: CliConfig, corpus_dir, anchor_id) -> int:
-    resources = _load_resources(cfg)
-    corpus = load_corpus(
-        corpus_dir, resources.stopwords, resources.lexicon, resources.synonym_table
-    )
+    corpus, _ = _load_corpus(cfg, [corpus_dir])
     corpus.document(anchor_id)
     table = anchor_matrix(
         corpus,
@@ -292,15 +289,7 @@ def cmd_matrix(cfg: CliConfig, corpus_dir, anchor_id) -> int:
 
 
 def cmd_report(cfg: CliConfig, similar_dir, dissimilar_dir, anchor_id) -> int:
-    resources = _load_resources(cfg)
-    similar_ids = [d.id for d in read_documents(similar_dir)]
-    dissimilar_ids = [d.id for d in read_documents(dissimilar_dir)]
-    corpus = load_corpus(
-        [similar_dir, dissimilar_dir],
-        resources.stopwords,
-        resources.lexicon,
-        resources.synonym_table,
-    )
+    corpus, (similar_ids, dissimilar_ids) = _load_corpus(cfg, [similar_dir, dissimilar_dir])
     corpus.document(anchor_id)
     comparison = _comparison_config(cfg)
     similar = anchor_matrix(
@@ -315,18 +304,17 @@ def cmd_report(cfg: CliConfig, similar_dir, dissimilar_dir, anchor_id) -> int:
 
 
 def cmd_preprocess(cfg: CliConfig, file) -> int:
-    _require_file(file)
-    resources = _load_resources(cfg)
-    text = Path(file).read_text(encoding="utf-8")
+    text = _read_input(Path.read_text, Path(file), "utf-8")
+    stopwords, lexicon = _load_lexicons(cfg)
     doc = RawDocument(id=Path(file).stem, text=text)
     lines = []
     for token in tokenize(text):
         norm = normalize(token)
-        if norm in resources.stopwords:
+        if norm in stopwords:
             lines.append(f"{token}\t{norm}\t(stopword)")
         else:
-            lines.append(f"{token}\t{norm}\t{stem(norm, resources.lexicon)}")
-    processed = preprocess(doc, resources.stopwords, resources.lexicon)
+            lines.append(f"{token}\t{norm}\t{stem(norm, lexicon)}")
+    processed = preprocess(doc, stopwords, lexicon)
     lines.append("")
     lines.append("counts:")
     for term in sorted(processed.counts):
@@ -337,10 +325,7 @@ def cmd_preprocess(cfg: CliConfig, file) -> int:
 
 
 def cmd_vector(cfg: CliConfig, corpus_dir, doc_id) -> int:
-    resources = _load_resources(cfg)
-    corpus = load_corpus(
-        corpus_dir, resources.stopwords, resources.lexicon, resources.synonym_table
-    )
+    corpus, _ = _load_corpus(cfg, [corpus_dir])
     doc = corpus.document(doc_id)
     vocabulary = tuple(sorted(doc.counts))
     lines = []
@@ -357,7 +342,7 @@ def cmd_vector(cfg: CliConfig, corpus_dir, doc_id) -> int:
             WeightingConfig(
                 mode="modified",
                 smoothing=cfg.smoothing,
-                synonym_table=corpus.synonym_table or SynonymTable.empty(),
+                synonym_table=corpus.synonym_table,
                 modified_idf=cfg.modified_idf,
             ),
         )
@@ -383,12 +368,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = resolve_config(args)
-        if args.command in WEIGHTED_COMMANDS and cfg.mode in ("modified", "both"):
-            if not cfg.synonyms_path:
-                raise ConfigError(
-                    f"mode {cfg.mode!r} requires --synonyms (or a synonyms entry "
-                    "in the config file)"
-                )
         if args.command == "sim":
             return cmd_sim(cfg, args.file_a, args.file_b, args.corpus_dir)
         if args.command == "matrix":

@@ -15,6 +15,12 @@ class ConfigError(SynsimError):
     """Invalid configuration: unknown mode, measure, smoothing, or format."""
 
 
+def check_choice(kind: str, value, allowed: tuple) -> None:
+    """Raise ConfigError unless ``value`` is one of ``allowed``."""
+    if value not in allowed:
+        raise ConfigError(f"unknown {kind} {value!r}; expected one of {allowed}")
+
+
 class LexiconFormatError(SynsimError):
     """A lexicon file does not follow its expected line format."""
 

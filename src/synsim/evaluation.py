@@ -16,11 +16,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError, CorpusError, DuplicateDocumentError, EmptyCorpusError
+from .errors import (
+    ConfigError,
+    CorpusError,
+    DuplicateDocumentError,
+    EmptyCorpusError,
+    check_choice,
+)
 from .lexicons import StemLexicon, StopwordList, SynonymTable
-from .pipeline import RawDocument, RuleStemmer, preprocess
+from .pipeline import RawDocument, preprocess
 from .similarity import MEASURES, similarity
 from .weighting import Corpus, Smoothing, WeightingConfig, build_vocabulary, vectorize
+
+FORMATS = ("json", "csv")
 
 
 @dataclass(frozen=True)
@@ -37,9 +45,10 @@ class ComparisonConfig:
     synonym_table: SynonymTable | None = None
 
     def table_for(self, corpus: Corpus) -> SynonymTable:
+        # An explicitly empty table is falsy, so test against None.
         if self.synonym_table is not None:
             return self.synonym_table
-        return corpus.synonym_table or SynonymTable.empty()
+        return corpus.synonym_table
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,7 @@ def read_documents(directory) -> list[RawDocument]:
     for path in sorted(root.glob("*.txt")):
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CorpusError(f"cannot read {path}: {exc}") from exc
         docs.append(RawDocument(id=path.stem, text=text))
     return docs
@@ -116,19 +125,27 @@ def load_corpus(
     stopwords: StopwordList,
     lexicon: StemLexicon,
     synonym_table: SynonymTable | None = None,
-    rule_stemmer: RuleStemmer | None = None,
 ) -> Corpus:
     """Preprocess every ``.txt`` file under one or more directories.
 
+    An entry may also be a ``(directory, documents)`` pair holding what
+    :func:`read_documents` returned for that directory, so a caller that
+    needs each directory's documents reads the directory only once.
     Documents are ordered by id; a duplicate id across directories is an
     error, as is an entirely empty corpus.
     """
     if isinstance(directories, (str, Path)):
         directories = [directories]
+    names = []
     raw: list[RawDocument] = []
     seen: set[str] = set()
-    for directory in directories:
-        for doc in read_documents(directory):
+    for entry in directories:
+        if isinstance(entry, tuple):
+            directory, docs = entry
+        else:
+            directory, docs = entry, read_documents(entry)
+        names.append(directory)
+        for doc in docs:
             if doc.id in seen:
                 raise DuplicateDocumentError(
                     f"document id {doc.id!r} appears in more than one directory"
@@ -136,9 +153,9 @@ def load_corpus(
             seen.add(doc.id)
             raw.append(doc)
     if not raw:
-        raise EmptyCorpusError(f"no .txt documents found under {list(directories)}")
+        raise EmptyCorpusError(f"no .txt documents found under {names}")
     raw.sort(key=lambda d: d.id)
-    processed = [preprocess(d, stopwords, lexicon, rule_stemmer) for d in raw]
+    processed = [preprocess(d, stopwords, lexicon) for d in raw]
     return Corpus(processed, synonym_table=synonym_table)
 
 
@@ -259,11 +276,10 @@ def render_report(report, format: str = "json") -> str:
     JSON carries full float precision and parses back to the exact stored
     values; CSV is a display format with scores rendered to six decimals.
     """
+    check_choice("format", format, FORMATS)
     if format == "json":
         return _render_json(report)
-    if format == "csv":
-        return _render_csv(report)
-    raise ConfigError(f"unknown format {format!r}; expected 'json' or 'csv'")
+    return _render_csv(report)
 
 
 def _render_json(report) -> str:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import LexiconFormatError
-from .pipeline import RuleStemmer, normalize, stem
+from .pipeline import normalize, stem
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class SynonymRow:
     """One row of the synonym table: an ordered group of distinct stems."""
 
     terms: tuple[str, ...]
-    row_index: int
 
 
 @dataclass(frozen=True)
@@ -82,10 +81,6 @@ class SynonymTable:
         """The lowest-index row containing ``term``, or None."""
         i = self.index.get(term)
         return None if i is None else self.rows[i]
-
-    def candidates(self, term: str) -> tuple[str, ...]:
-        """Alias for :func:`synonym_candidates` as a method."""
-        return synonym_candidates(self, term)
 
 
 def synonym_candidates(table: SynonymTable, term: str) -> tuple[str, ...]:
@@ -140,11 +135,7 @@ def load_stem_lexicon(source) -> StemLexicon:
     return StemLexicon(entries=entries)
 
 
-def load_synonym_table(
-    source,
-    lexicon: StemLexicon | None = None,
-    rule_stemmer: RuleStemmer | None = None,
-) -> SynonymTable:
+def load_synonym_table(source, lexicon: StemLexicon | None = None) -> SynonymTable:
     """Read a synonym file into stem space.
 
     Each line is split on commas; every word is normalized and stemmed with
@@ -161,13 +152,12 @@ def load_synonym_table(
         for word in words:
             if not word:
                 continue
-            term = stem(normalize(word), lexicon, rule_stemmer)
+            term = stem(normalize(word), lexicon)
             if term and term not in terms:
                 terms.append(term)
         if len(terms) < 2:
             continue
-        row = SynonymRow(terms=tuple(terms), row_index=len(rows))
-        rows.append(row)
         for term in terms:
-            index.setdefault(term, row.row_index)
+            index.setdefault(term, len(rows))
+        rows.append(SynonymRow(terms=tuple(terms)))
     return SynonymTable(rows=tuple(rows), index=index)

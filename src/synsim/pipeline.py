@@ -100,7 +100,6 @@ def preprocess(
     doc: RawDocument,
     stopwords: "StopwordList",
     lexicon: "StemLexicon",
-    rule_stemmer: RuleStemmer | None = None,
 ) -> ProcessedDocument:
     """Run the full preparation chain on one document.
 
@@ -109,7 +108,7 @@ def preprocess(
     """
     tokens = [normalize(t) for t in tokenize(doc.text)]
     kept = filter_stopwords(tokens, stopwords)
-    stems = [stem(t, lexicon, rule_stemmer) for t in kept]
+    stems = [stem(t, lexicon) for t in kept]
     return ProcessedDocument.from_terms(doc.id, stems)
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ConfigError
+from .errors import check_choice
 from .weighting import DocumentVector
 
 MEASURES = ("cosine", "jaccard", "dice")
@@ -83,10 +83,5 @@ _MEASURE_FUNCTIONS = {"cosine": cosine, "jaccard": jaccard, "dice": dice}
 
 def similarity(measure: str, x, y) -> SimilarityScore:
     """Dispatch to one of the named measures."""
-    try:
-        function = _MEASURE_FUNCTIONS[measure]
-    except KeyError:
-        raise ConfigError(
-            f"unknown measure {measure!r}; expected one of {MEASURES}"
-        ) from None
-    return SimilarityScore(value=function(x, y), measure=measure)
+    check_choice("measure", measure, MEASURES)
+    return SimilarityScore(value=_MEASURE_FUNCTIONS[measure](x, y), measure=measure)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 from .errors import (
     ConfigError,
@@ -34,15 +34,18 @@ from .errors import (
     EmptyCorpusError,
     UnknownDocumentError,
     ZeroDocumentFrequencyError,
+    check_choice,
 )
 from .lexicons import SynonymTable, synonym_candidates
 from .pipeline import ProcessedDocument, term_count
 
 Mode = Literal["traditional", "modified"]
 Smoothing = Literal["plus_one_when_zero", "none"]
+ModifiedIdf = Literal["resolved", "raw"]
 
-MODES = ("traditional", "modified")
-SMOOTHINGS = ("plus_one_when_zero", "none")
+MODES = get_args(Mode)
+SMOOTHINGS = get_args(Smoothing)
+MODIFIED_IDFS = get_args(ModifiedIdf)
 
 
 @dataclass(frozen=True)
@@ -57,20 +60,12 @@ class WeightingConfig:
     mode: Mode = "traditional"
     smoothing: Smoothing = "plus_one_when_zero"
     synonym_table: SynonymTable | None = None
-    modified_idf: Literal["resolved", "raw"] = "resolved"
+    modified_idf: ModifiedIdf = "resolved"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.smoothing not in SMOOTHINGS:
-            raise ConfigError(
-                f"unknown smoothing {self.smoothing!r}; expected one of {SMOOTHINGS}"
-            )
-        if self.modified_idf not in ("resolved", "raw"):
-            raise ConfigError(
-                f"unknown modified_idf {self.modified_idf!r}; "
-                "expected 'resolved' or 'raw'"
-            )
+        check_choice("mode", self.mode, MODES)
+        check_choice("smoothing", self.smoothing, SMOOTHINGS)
+        check_choice("modified_idf", self.modified_idf, MODIFIED_IDFS)
         if self.mode == "modified" and self.synonym_table is None:
             raise ConfigError("mode 'modified' requires a synonym table")
 
@@ -92,7 +87,8 @@ class Corpus:
 
     Document frequencies for both schemes are answered from an inverted
     term-to-documents index built once at construction, so concurrent
-    readers never race on lazily filled caches.
+    readers never race on lazily filled caches. A corpus built without a
+    synonym table holds an empty one.
     """
 
     def __init__(
@@ -103,6 +99,8 @@ class Corpus:
         self.docs: tuple[ProcessedDocument, ...] = tuple(docs)
         if not self.docs:
             raise EmptyCorpusError("a corpus needs at least one document")
+        if synonym_table is None:
+            synonym_table = SynonymTable.empty()
         self.synonym_table = synonym_table
         self._by_id: dict[str, ProcessedDocument] = {}
         for doc in self.docs:
@@ -116,10 +114,6 @@ class Corpus:
         self._postings: dict[str, frozenset[str]] = {
             term: frozenset(ids) for term, ids in postings.items()
         }
-
-    @property
-    def size(self) -> int:
-        return len(self.docs)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -194,9 +188,9 @@ def document_frequency(
     if mode == "traditional":
         return len(corpus.documents_with(term))
     if mode != "modified":
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+        check_choice("mode", mode, MODES)
     if table is None:
-        table = corpus.synonym_table or SynonymTable.empty()
+        table = corpus.synonym_table
     matching = set(corpus.documents_with(term))
     for candidate in synonym_candidates(table, term):
         matching |= corpus.documents_with(candidate)
@@ -218,15 +212,11 @@ def idf(
     """
     df = document_frequency(corpus, term, mode, table)
     if df == 0:
-        if smoothing == "plus_one_when_zero":
-            df = 1
-        elif smoothing == "none":
+        if smoothing == "none":
             raise ZeroDocumentFrequencyError(term)
-        else:
-            raise ConfigError(
-                f"unknown smoothing {smoothing!r}; expected one of {SMOOTHINGS}"
-            )
-    return math.log2(corpus.size / df)
+        check_choice("smoothing", smoothing, SMOOTHINGS)
+        df = 1
+    return math.log2(len(corpus) / df)
 
 
 def build_vocabulary(a: ProcessedDocument, b: ProcessedDocument) -> tuple[str, ...]:
@@ -236,15 +226,10 @@ def build_vocabulary(a: ProcessedDocument, b: ProcessedDocument) -> tuple[str, .
 
 @dataclass(frozen=True)
 class DocumentVector:
-    """Sparse TF-IDF vector; terms missing from ``weights`` are zero.
-
-    ``vocabulary`` fixes the component order used when two vectors are
-    combined; it is the sorted union of the compared documents' terms.
-    """
+    """Sparse TF-IDF vector; terms missing from ``weights`` are zero."""
 
     doc_id: str
     weights: Mapping[str, float] = field(default_factory=dict)
-    vocabulary: tuple[str, ...] = ()
 
     def get(self, term: str) -> float:
         return self.weights.get(term, 0.0)
@@ -279,4 +264,4 @@ def vectorize(
         )
         if weight != 0.0:
             weights[term] = weight
-    return DocumentVector(doc_id=doc.id, weights=weights, vocabulary=tuple(vocabulary))
+    return DocumentVector(doc_id=doc.id, weights=weights)

@@ -345,3 +345,73 @@ def test_out_flag_writes_file_and_not_stdout(tmp_path, capsys):
     assert out == ""
     content = out_path.read_text(encoding="utf-8")
     assert content.startswith("anchor,target,measure,")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"measures": 5}, {"stopwords": 3}, {"out": 2}],
+    ids=["measures-number", "stopwords-number", "out-number"],
+)
+def test_config_file_value_of_wrong_type_exits_64(entry, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(entry), encoding="utf-8")
+    code, out, err = run(
+        capsys, "matrix", str(TRANSIT), "a01", *FIXTURE_FLAGS, "--config", str(config),
+    )
+    assert code == 64
+    assert out == ""
+    assert next(iter(entry)) in err
+
+
+def test_undecodable_corpus_file_is_named(small_setup, capsys):
+    corpus, flags = small_setup
+    (corpus / "bad.txt").write_bytes(b"\xff\xfe alpha")
+    code, _, err = run(capsys, "matrix", str(corpus), "x", *flags)
+    assert code == 2
+    assert "bad.txt" in err
+
+
+def test_malformed_stems_file_is_named(small_setup, tmp_path, capsys):
+    corpus, flags = small_setup
+    stems = tmp_path / "broken_stems.tsv"
+    stems.write_text("x\n", encoding="utf-8")
+    code, _, err = run(capsys, "matrix", str(corpus), "x", *flags, "--stems", str(stems))
+    assert code == 2
+    assert "broken_stems.tsv" in err
+    assert "line 1" in err
+
+
+def test_undecodable_preprocess_input_is_named(tmp_path, capsys):
+    doc = tmp_path / "latin1.txt"
+    doc.write_bytes(b"caf\xe9")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    code, _, err = run(
+        capsys, "preprocess", str(doc), "--stopwords", str(empty), "--stems", str(empty),
+    )
+    assert code == 2
+    assert "latin1.txt" in err
+
+
+def test_sim_rejects_same_named_file_outside_corpus(small_setup, tmp_path, capsys):
+    corpus, flags = small_setup
+    outside = tmp_path / "other"
+    outside.mkdir()
+    (outside / "x.txt").write_text("gamma delta", encoding="utf-8")
+    code, out, err = run(
+        capsys, "sim", str(outside / "x.txt"), str(corpus / "y.txt"), str(corpus), *flags,
+    )
+    assert code == 2
+    assert out == ""
+    assert str(outside / "x.txt") in err
+
+
+def test_sim_accepts_file_named_through_another_path_to_corpus(small_setup, capsys):
+    corpus, flags = small_setup
+    roundabout = corpus / ".." / corpus.name / "x.txt"
+    code, out, _ = run(
+        capsys, "sim", str(roundabout), str(corpus / "y.txt"), str(corpus),
+        *flags, "--measures", "cosine",
+    )
+    assert code == 0
+    assert out == "cosine traditional=1.000000 modified=1.000000 delta=0.000000\n"

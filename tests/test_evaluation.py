@@ -67,7 +67,7 @@ def test_read_documents_missing_directory(tmp_path):
 def test_load_corpus_basic(tmp_path):
     directory = write_corpus(tmp_path / "c", {"a1": "x y", "a2": "y z"})
     corpus = load_corpus(directory, EMPTY_STOPS, EMPTY_LEX)
-    assert corpus.size == 2
+    assert len(corpus) == 2
     assert corpus.ids == ("a1", "a2")
 
 
