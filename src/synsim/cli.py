@@ -36,7 +36,7 @@ from .lexicons import (
 from .pipeline import RawDocument, normalize, preprocess, stem, tokenize
 from .similarity import MEASURES
 from .weighting import MODES as SCHEMES
-from .weighting import MODIFIED_IDFS, SMOOTHINGS, Corpus, WeightingConfig, vectorize
+from .weighting import MODIFIED_IDFS, SMOOTHINGS, Corpus, vectorize
 
 MODES = (*SCHEMES, "both")
 
@@ -328,24 +328,13 @@ def cmd_vector(cfg: CliConfig, corpus_dir, doc_id) -> int:
     corpus, _ = _load_corpus(cfg, [corpus_dir])
     doc = corpus.document(doc_id)
     vocabulary = tuple(sorted(doc.counts))
+    traditional_config, modified_config = _comparison_config(cfg).weightings(corpus)
     lines = []
     traditional = modified = None
     if cfg.mode in ("traditional", "both"):
-        traditional = vectorize(
-            doc, corpus, vocabulary, WeightingConfig(mode="traditional", smoothing=cfg.smoothing)
-        )
+        traditional = vectorize(doc, corpus, vocabulary, traditional_config)
     if cfg.mode in ("modified", "both"):
-        modified = vectorize(
-            doc,
-            corpus,
-            vocabulary,
-            WeightingConfig(
-                mode="modified",
-                smoothing=cfg.smoothing,
-                synonym_table=corpus.synonym_table,
-                modified_idf=cfg.modified_idf,
-            ),
-        )
+        modified = vectorize(doc, corpus, vocabulary, modified_config)
     for term in vocabulary:
         fields = [term]
         if traditional is not None:

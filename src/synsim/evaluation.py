@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     ConfigError,
@@ -26,7 +26,14 @@ from .errors import (
 from .lexicons import StemLexicon, StopwordList, SynonymTable
 from .pipeline import RawDocument, preprocess
 from .similarity import MEASURES, similarity
-from .weighting import Corpus, Smoothing, WeightingConfig, build_vocabulary, vectorize
+from .weighting import (
+    Corpus,
+    DocumentVector,
+    Smoothing,
+    WeightingConfig,
+    build_vocabulary,
+    vectorize,
+)
 
 FORMATS = ("json", "csv")
 
@@ -44,11 +51,25 @@ class ComparisonConfig:
     modified_idf: str = "resolved"
     synonym_table: SynonymTable | None = None
 
-    def table_for(self, corpus: Corpus) -> SynonymTable:
+    def weightings(self, corpus: Corpus) -> tuple[WeightingConfig, WeightingConfig]:
+        """The traditional and the modified weighting of ``corpus``.
+
+        Built, and so checked, once per ``compare_pair`` or
+        ``anchor_matrix`` call, not once per pair.
+        """
         # An explicitly empty table is falsy, so test against None.
-        if self.synonym_table is not None:
-            return self.synonym_table
-        return corpus.synonym_table
+        table = self.synonym_table
+        if table is None:
+            table = corpus.synonym_table
+        return (
+            WeightingConfig(mode="traditional", smoothing=self.smoothing),
+            WeightingConfig(
+                mode="modified",
+                smoothing=self.smoothing,
+                synonym_table=table,
+                modified_idf=self.modified_idf,
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -159,46 +180,50 @@ def load_corpus(
     return Corpus(processed, synonym_table=synonym_table)
 
 
-def _pair_results(
+def _anchor_scorer(
     corpus: Corpus,
-    id_a: str,
-    id_b: str,
+    anchor_id: str,
     measures: Sequence[str],
     config: ComparisonConfig,
-) -> list[PairResult]:
-    """Score one pair under every requested measure, vectorizing once."""
-    doc_a = corpus.document(id_a)
-    doc_b = corpus.document(id_b)
-    vocabulary = build_vocabulary(doc_a, doc_b)
-    table = config.table_for(corpus)
-    traditional_config = WeightingConfig(
-        mode="traditional", smoothing=config.smoothing
-    )
-    modified_config = WeightingConfig(
-        mode="modified",
-        smoothing=config.smoothing,
-        synonym_table=table,
-        modified_idf=config.modified_idf,
-    )
-    a_trad = vectorize(doc_a, corpus, vocabulary, traditional_config)
-    b_trad = vectorize(doc_b, corpus, vocabulary, traditional_config)
-    a_mod = vectorize(doc_a, corpus, vocabulary, modified_config)
-    b_mod = vectorize(doc_b, corpus, vocabulary, modified_config)
-    results = []
-    for measure in measures:
-        traditional = similarity(measure, a_trad, b_trad).value
-        modified = similarity(measure, a_mod, b_mod).value
-        results.append(
-            PairResult(
-                anchor_id=id_a,
-                target_id=id_b,
-                measure=measure,
-                traditional=traditional,
-                modified=modified,
-                delta=modified - traditional,
+) -> Callable[[str], list[PairResult]]:
+    """Scorer of ``anchor_id`` against one target at a time, every measure.
+
+    A term's weight depends on the term, the document and the weighting,
+    never on the pair; the pair only keeps the union of the two documents'
+    terms. So the anchor's traditional vector and its modified weights over
+    its own terms are built once, and each target adds only the target's
+    terms that the anchor reaches through a synonym.
+    """
+    anchor = corpus.document(anchor_id)
+    traditional, modified = config.weightings(corpus)
+    anchor_terms = tuple(anchor.counts)
+    a_trad = vectorize(anchor, corpus, anchor_terms, traditional)
+    a_own = vectorize(anchor, corpus, anchor_terms, modified).weights
+
+    def score(target_id: str) -> list[PairResult]:
+        target = corpus.document(target_id)
+        b_trad = vectorize(target, corpus, tuple(target.counts), traditional)
+        b_mod = vectorize(target, corpus, build_vocabulary(anchor, target), modified)
+        target_only = tuple(t for t in target.counts if t not in anchor.counts)
+        reached = vectorize(anchor, corpus, target_only, modified).weights
+        a_mod = DocumentVector(doc_id=anchor_id, weights={**a_own, **reached})
+        results = []
+        for measure in measures:
+            traditional_value = similarity(measure, a_trad, b_trad).value
+            modified_value = similarity(measure, a_mod, b_mod).value
+            results.append(
+                PairResult(
+                    anchor_id=anchor_id,
+                    target_id=target_id,
+                    measure=measure,
+                    traditional=traditional_value,
+                    modified=modified_value,
+                    delta=modified_value - traditional_value,
+                )
             )
-        )
-    return results
+        return results
+
+    return score
 
 
 def compare_pair(
@@ -209,7 +234,7 @@ def compare_pair(
     config: ComparisonConfig = ComparisonConfig(),
 ) -> PairResult:
     """Traditional and modified scores of one pair under one measure."""
-    return _pair_results(corpus, id_a, id_b, [measure], config)[0]
+    return _anchor_scorer(corpus, id_a, [measure], config)(id_b)[0]
 
 
 def anchor_matrix(
@@ -225,9 +250,10 @@ def anchor_matrix(
     """
     if not target_ids:
         raise CorpusError(f"anchor {anchor_id!r} has no targets to compare against")
+    score = _anchor_scorer(corpus, anchor_id, measures, config)
     rows: list[PairResult] = []
     for target_id in target_ids:
-        rows.extend(_pair_results(corpus, anchor_id, target_id, measures, config))
+        rows.extend(score(target_id))
     averages: dict[str, MeasureAverages] = {}
     for measure in measures:
         group = [r for r in rows if r.measure == measure]

@@ -62,6 +62,8 @@ class SynonymTable:
 
     A term appearing in several rows is indexed at the lowest row, and a
     lookup matches the term anywhere in a row, not only at position 0.
+    Tables compare by value (the index derives from the rows) and are
+    hashable, so a table can key a memo.
     """
 
     rows: tuple[SynonymRow, ...] = ()
@@ -76,6 +78,10 @@ class SynonymTable:
 
     def __contains__(self, term: str) -> bool:
         return term in self.index
+
+    def __hash__(self) -> int:
+        # The first row keeps hashing O(1); tables sharing it fall back to ==.
+        return hash(self.rows[:1])
 
     def row_of(self, term: str) -> SynonymRow | None:
         """The lowest-index row containing ``term``, or None."""

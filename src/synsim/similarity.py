@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import check_choice
 from .weighting import DocumentVector
@@ -30,10 +29,10 @@ class SimilarityScore:
     measure: str
 
 
-def _weights(v) -> Mapping[str, float]:
+def _vector(v) -> DocumentVector:
     if isinstance(v, DocumentVector):
-        return v.weights
-    return v
+        return v
+    return DocumentVector(doc_id="", weights=v)
 
 
 def _cap(value: float) -> float:
@@ -43,19 +42,20 @@ def _cap(value: float) -> float:
 
 
 def dot(x, y) -> float:
-    """Inner product over the union of stored terms, in sorted term order."""
-    xw, yw = _weights(x), _weights(y)
-    return sum(xw.get(t, 0.0) * yw.get(t, 0.0) for t in sorted(set(xw) | set(yw)))
+    """Inner product over the terms stored on both sides, in sorted order.
 
-
-def _norm_squared(w: Mapping[str, float]) -> float:
-    return sum(w[t] * w[t] for t in sorted(w))
+    A term stored on one side only would add ``+0.0``, which leaves the sum
+    unchanged, so summing the intersection equals summing the union.
+    """
+    xw, yw = _vector(x).weights, _vector(y).weights
+    return sum((xw[t] * yw[t] for t in sorted(xw.keys() & yw.keys())), 0.0)
 
 
 def cosine(x, y) -> float:
     """dot(x, y) / (|x| * |y|); 0 when either vector is zero."""
-    nx = math.sqrt(_norm_squared(_weights(x)))
-    ny = math.sqrt(_norm_squared(_weights(y)))
+    x, y = _vector(x), _vector(y)
+    nx = math.sqrt(x.norm_squared)
+    ny = math.sqrt(y.norm_squared)
     if nx == 0.0 or ny == 0.0:
         return 0.0
     return _cap(dot(x, y) / (nx * ny))
@@ -63,8 +63,9 @@ def cosine(x, y) -> float:
 
 def jaccard(x, y) -> float:
     """dot(x, y) / (|x|^2 + |y|^2 - dot(x, y)); 0 when both vectors are zero."""
+    x, y = _vector(x), _vector(y)
     s = dot(x, y)
-    denominator = _norm_squared(_weights(x)) + _norm_squared(_weights(y)) - s
+    denominator = x.norm_squared + y.norm_squared - s
     if denominator == 0.0:
         return 0.0
     return _cap(s / denominator)
@@ -72,7 +73,8 @@ def jaccard(x, y) -> float:
 
 def dice(x, y) -> float:
     """2 * dot(x, y) / (|x|^2 + |y|^2); 0 when both vectors are zero."""
-    denominator = _norm_squared(_weights(x)) + _norm_squared(_weights(y))
+    x, y = _vector(x), _vector(y)
+    denominator = x.norm_squared + y.norm_squared
     if denominator == 0.0:
         return 0.0
     return _cap(2.0 * dot(x, y) / denominator)

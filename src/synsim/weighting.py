@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 from .errors import (
@@ -69,6 +70,13 @@ class WeightingConfig:
         if self.mode == "modified" and self.synonym_table is None:
             raise ConfigError("mode 'modified' requires a synonym table")
 
+    @property
+    def idf_mode(self) -> Mode:
+        """The document-frequency flavor behind this scheme's idf."""
+        if self.mode == "modified" and self.modified_idf == "resolved":
+            return "modified"
+        return "traditional"
+
 
 @dataclass(frozen=True)
 class ResolvedCount:
@@ -86,9 +94,11 @@ class Corpus:
     """An ordered, immutable collection of processed documents.
 
     Document frequencies for both schemes are answered from an inverted
-    term-to-documents index built once at construction, so concurrent
-    readers never race on lazily filled caches. A corpus built without a
-    synonym table holds an empty one.
+    term-to-documents index built once at construction. Idf values are
+    memoised per weighting setting (see :meth:`idf_memo`) and filled
+    lazily; each value is a pure function of the immutable corpus, so
+    concurrent readers that race on a memo only repeat work. A corpus
+    built without a synonym table holds an empty one.
     """
 
     def __init__(
@@ -114,6 +124,7 @@ class Corpus:
         self._postings: dict[str, frozenset[str]] = {
             term: frozenset(ids) for term, ids in postings.items()
         }
+        self._idf_memos: dict[tuple, dict[str, float]] = {}
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -141,6 +152,23 @@ class Corpus:
     def documents_with(self, term: str) -> frozenset[str]:
         """Ids of documents in which ``term`` literally occurs."""
         return self._postings.get(term, frozenset())
+
+    def idf_memo(
+        self, mode: Mode, smoothing: Smoothing, table: SynonymTable | None
+    ) -> dict[str, float]:
+        """Term-to-idf memo of one weighting setting, filled by :func:`vectorize`.
+
+        Traditional idf ignores the synonym table, so its memo is shared
+        by every table. A modified memo is keyed by the table itself (None
+        meaning the corpus's own): equal tables give equal idf and share
+        it, and an explicit table is never served values computed with a
+        different one. A failed idf is not stored, so it fails again.
+        """
+        if mode == "traditional":
+            table = None
+        elif table is None:
+            table = self.synonym_table
+        return self._idf_memos.setdefault((mode, smoothing, table), {})
 
 
 def resolve_count(
@@ -234,6 +262,12 @@ class DocumentVector:
     def get(self, term: str) -> float:
         return self.weights.get(term, 0.0)
 
+    @cached_property
+    def norm_squared(self) -> float:
+        """Sum of the squared weights in sorted term order, computed once."""
+        w = self.weights
+        return sum((w[t] * w[t] for t in sorted(w)), 0.0)
+
 
 def vectorize(
     doc: ProcessedDocument,
@@ -245,23 +279,25 @@ def vectorize(
 
     In modified mode the synonym-resolved count feeds tf, and idf uses the
     resolved document frequency (unless ``modified_idf`` is "raw"). Zero
-    weights are not stored.
+    weights are not stored. Each term's idf is computed once per corpus
+    and setting, and read from :meth:`Corpus.idf_memo` afterwards.
     """
     modified = config.mode == "modified"
-    df_mode: Mode = "traditional"
-    if modified and config.modified_idf == "resolved":
-        df_mode = "modified"
+    idf_mode = config.idf_mode
+    idfs = corpus.idf_memo(idf_mode, config.smoothing, config.synonym_table)
     weights: dict[str, float] = {}
     for term in vocabulary:
-        if modified:
+        count = term_count(doc, term)
+        if count == 0 and modified:
             count = resolve_count(term, doc, config.synonym_table).count
-        else:
-            count = term_count(doc, term)
         if count == 0:
             continue
-        weight = tf(count, doc.total_tokens) * idf(
-            corpus, term, df_mode, config.smoothing, config.synonym_table
-        )
+        term_idf = idfs.get(term)
+        if term_idf is None:
+            term_idf = idfs[term] = idf(
+                corpus, term, idf_mode, config.smoothing, config.synonym_table
+            )
+        weight = tf(count, doc.total_tokens) * term_idf
         if weight != 0.0:
             weights[term] = weight
     return DocumentVector(doc_id=doc.id, weights=weights)

@@ -2,12 +2,15 @@
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
 from synsim import (
     ComparisonConfig,
     ConfigError,
+    Corpus,
     CorpusError,
     DeltaEntry,
     DeltaSummary,
@@ -101,6 +104,19 @@ def test_compare_pair_empty_table_zero_delta(fixture_corpus):
         assert result.delta == 0.0
 
 
+def test_compare_pair_scores_do_not_depend_on_table_order(planted):
+    # The corpus table, then an explicit empty one, then the corpus table
+    # again: each call is scored with its own table's idf only.
+    empty = ComparisonConfig(synonym_table=SynonymTable.empty())
+    for measure in ("cosine", "jaccard", "dice"):
+        first = compare_pair(planted, "q", "d", measure)
+        without = compare_pair(planted, "q", "d", measure, empty)
+        again = compare_pair(planted, "q", "d", measure)
+        assert first == again
+        assert first.modified > first.traditional
+        assert without.modified == without.traditional == first.traditional
+
+
 def test_compare_pair_planted_synonym_boost(planted):
     for measure in ("cosine", "jaccard", "dice"):
         result = compare_pair(planted, "q", "d", measure)
@@ -152,6 +168,28 @@ def test_anchor_matrix_averages_match_recomputation(fixture_corpus):
 def test_anchor_matrix_no_targets(planted):
     with pytest.raises(CorpusError):
         anchor_matrix(planted, "q", [])
+
+
+def test_concurrent_readers_share_the_idf_memos(fixture_corpus):
+    # Threads fill one corpus's memos at once; a race may only repeat work.
+    want = anchor_matrix(fixture_corpus, "a01", fixture_corpus.ids)
+    corpus = Corpus(fixture_corpus.docs, synonym_table=fixture_corpus.synonym_table)
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(anchor_matrix(corpus, "a01", corpus.ids)))
+        for _ in range(6)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [want] * len(threads)
 
 
 def single_measure_table(anchor, traditional, modified) -> ReportTable:

@@ -32,6 +32,28 @@ def test_dot_zero_vector():
     assert dot(vec([1, 2]), vec([0, 0])) == 0.0
 
 
+def test_dot_of_empty_vectors_is_float():
+    assert type(dot({}, {})) is float
+    assert type(dot({}, {"a": 1.0})) is float
+
+
+def test_dot_and_jaccard_match_union_sums_bitwise():
+    # Summing the key intersection equals summing the union: a term stored
+    # on one side only adds +0.0.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        x, y = random_pair(rng)
+        x = {t: w for t, w in x.items() if w}
+        y = {t: w for t, w in y.items() if w and rng.random() < 0.8}
+        union = sum(x.get(t, 0.0) * y.get(t, 0.0) for t in sorted(set(x) | set(y)))
+        assert dot(x, y).hex() == float(union).hex()
+        xx = sum(x[t] * x[t] for t in sorted(x))
+        yy = sum(y[t] * y[t] for t in sorted(y))
+        s = dot(x, y)
+        if xx + yy - s:
+            assert jaccard(x, y).hex() == min(s / (xx + yy - s), 1.0).hex()
+
+
 def test_cosine_identical():
     v = vec([0.3, 1.2])
     assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)

@@ -254,6 +254,32 @@ class TestVectorize:
         with pytest.raises(ConfigError):
             WeightingConfig(mode="modified")
 
+    def test_unsmoothed_zero_df_raises_on_every_call(self, toy_corpus):
+        # A document from outside the corpus holds a term of df 0. The
+        # smoothed value memoised first must not be served to "none", and
+        # a failure must not be memoised either.
+        outsider = make_doc("x", ["t1", "t9"])
+        vocabulary = ("t1", "t9")
+        smoothed = vectorize(outsider, toy_corpus, vocabulary, WeightingConfig())
+        assert smoothed.get("t9") == pytest.approx(0.5 * math.log2(3))
+        for _ in range(2):
+            with pytest.raises(ZeroDocumentFrequencyError):
+                vectorize(outsider, toy_corpus, vocabulary, WeightingConfig(smoothing="none"))
+
+    def test_idf_memo_is_keyed_by_setting_and_table(self, toy_corpus):
+        table = table_from("t1,t2\n")
+        memo = toy_corpus.idf_memo("modified", "none", table)
+        assert toy_corpus.idf_memo("modified", "none", table_from("t1,t2\n")) is memo
+        assert toy_corpus.idf_memo("modified", "none", SynonymTable.empty()) is not memo
+        assert toy_corpus.idf_memo("modified", "plus_one_when_zero", table) is not memo
+        # Traditional idf ignores the table, and None means the corpus's own.
+        assert toy_corpus.idf_memo("traditional", "none", table) is toy_corpus.idf_memo(
+            "traditional", "none", None
+        )
+        assert toy_corpus.idf_memo("modified", "none", None) is toy_corpus.idf_memo(
+            "modified", "none", toy_corpus.synonym_table
+        )
+
 
 def test_build_vocabulary_sorted_union():
     a = make_doc("a", ["a", "b"])
