@@ -176,7 +176,8 @@ def load_corpus(
     if not raw:
         raise EmptyCorpusError(f"no .txt documents found under {names}")
     raw.sort(key=lambda d: d.id)
-    processed = [preprocess(d, stopwords, lexicon) for d in raw]
+    terms: dict[str, str | None] = {}
+    processed = [preprocess(d, stopwords, lexicon, terms) for d in raw]
     return Corpus(processed, synonym_table=synonym_table)
 
 

@@ -1,12 +1,13 @@
 """Text preparation: tokenize, normalize, drop stopwords, stem, count.
 
 The stages are deliberately small pure functions so each can be tested in
-isolation; ``preprocess`` chains them in a fixed order and reduces a raw
-document to a bag of stemmed term counts.
+isolation; ``preprocess`` applies them in a fixed order, once per distinct
+token, and reduces a raw document to a bag of stemmed term counts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
@@ -17,6 +18,10 @@ if TYPE_CHECKING:
 # Optional hook for a rule-based stemmer: called on lexicon misses, may
 # return None to decline the token.
 RuleStemmer = Callable[[str], "str | None"]
+
+# Marks a token missing from a ``preprocess`` memo. None marks a stopword
+# there; "" cannot, because a lexicon may map a token to "", which is a term.
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -58,10 +63,13 @@ class ProcessedDocument:
 
 
 def tokenize(text: str) -> list[str]:
-    """Split text into maximal runs of Unicode letters.
+    """Split text into maximal runs of ``str.isalpha`` characters.
 
-    Punctuation, whitespace, and digit runs all act as separators and are
-    discarded, so "a-b c7d" yields ["a", "b", "c", "d"].
+    Every other character is a separator and is discarded: whitespace,
+    punctuation and digits, but also ``_``, superscripts such as ``²``,
+    letter-like numerals such as ``Ⅻ`` and combining marks such as U+0301.
+    So "a-b c7d" yields ["a", "b", "c", "d"] and "a_b x²y" yields
+    ["a", "b", "x", "y"].
     """
     return ["".join(run) for is_letter, run in groupby(text, key=str.isalpha) if is_letter]
 
@@ -100,16 +108,34 @@ def preprocess(
     doc: RawDocument,
     stopwords: "StopwordList",
     lexicon: "StemLexicon",
+    terms: dict[str, str | None] | None = None,
 ) -> ProcessedDocument:
     """Run the full preparation chain on one document.
 
     Order is fixed: tokenize, normalize, remove stopwords, stem. Stopwords
     are matched on normalized surface forms, before stemming.
+
+    ``terms`` memoizes each token's term (None for a stopword) so each
+    distinct token is analysed once. Calls may share one memo only when
+    they pass the same ``stopwords`` and ``lexicon``; without ``terms`` a
+    fresh memo is used. Counts are in first-occurrence order either way.
     """
-    tokens = [normalize(t) for t in tokenize(doc.text)]
-    kept = filter_stopwords(tokens, stopwords)
-    stems = [stem(t, lexicon) for t in kept]
-    return ProcessedDocument.from_terms(doc.id, stems)
+    if terms is None:
+        terms = {}
+    counts: dict[str, int] = {}
+    total = 0
+    # Whitespace is never a letter, so tokens never span whitespace chunks,
+    # and distinct chunks in first-occurrence order keep the terms' order.
+    for chunk, n in Counter(doc.text.split()).items():
+        for token in (chunk,) if chunk.isalpha() else tokenize(chunk):
+            term = terms.get(token, _MISSING)
+            if term is _MISSING:
+                word = normalize(token)
+                term = terms[token] = None if word in stopwords else stem(word, lexicon)
+            if term is not None:
+                counts[term] = counts.get(term, 0) + n
+                total += n
+    return ProcessedDocument(id=doc.id, counts=counts, total_tokens=total)
 
 
 def term_count(doc: ProcessedDocument, term: str) -> int:

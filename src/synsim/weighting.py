@@ -117,10 +117,10 @@ class Corpus:
             if doc.id in self._by_id:
                 raise DuplicateDocumentError(f"duplicate document id {doc.id!r}")
             self._by_id[doc.id] = doc
-        postings: dict[str, set[str]] = {}
+        postings: dict[str, list[str]] = {}
         for doc in self.docs:
             for term in doc.counts:
-                postings.setdefault(term, set()).add(doc.id)
+                postings.setdefault(term, []).append(doc.id)
         self._postings: dict[str, frozenset[str]] = {
             term: frozenset(ids) for term, ids in postings.items()
         }

@@ -1,4 +1,4 @@
-"""Differential tests: pair scoring against a plain per-pair reference.
+"""Differential tests: fast paths against plain references kept here.
 
 ``compare_pair`` and ``anchor_matrix`` weight each document once per
 corpus and setting and restrict to the pair afterwards. The reference below
@@ -6,6 +6,9 @@ is the direct reading of the scheme: vectorize both documents over the
 pair's term union under both weightings, on a corpus of its own (so it
 shares no idf memo with the scorer under test), then run each measure.
 Every score must agree bit for bit.
+
+``preprocess`` counts whitespace chunks and resolves each distinct token
+through a memo; its reference runs the stages one after another.
 """
 
 import io
@@ -18,13 +21,21 @@ from synsim import (
     ComparisonConfig,
     Corpus,
     ProcessedDocument,
+    RawDocument,
+    StemLexicon,
+    StopwordList,
     SynonymTable,
     WeightingConfig,
     anchor_matrix,
     build_vocabulary,
     compare_pair,
+    filter_stopwords,
     load_synonym_table,
+    normalize,
+    preprocess,
     similarity,
+    stem,
+    tokenize,
     vectorize,
 )
 
@@ -105,3 +116,57 @@ def test_anchor_matrix_matches_reference(term_lists, table, configs, data):
                 anchor,
                 *reference_scores(corpus, anchor, row.target_id, row.measure, config),
             )
+
+
+# Every whitespace class str.split uses, and U+200B, which is not whitespace.
+WHITESPACE = " \t\n\u00a0\u2028\x1c\u3000"
+ALPHABET = (
+    "abzAZ"
+    "аәғқңөұүһіӘҒҚҢӨҰҮҺІ"
+    "İΣσςß\u0301²Ⅻ½_07.,-'!"
+    "\u200b" + WHITESPACE
+)
+
+
+def reference_preprocess(doc, stopwords, lexicon):
+    tokens = [normalize(t) for t in tokenize(doc.text)]
+    kept = filter_stopwords(tokens, stopwords)
+    return ProcessedDocument.from_terms(doc.id, [stem(t, lexicon) for t in kept])
+
+
+def listed(doc):
+    """A processed document with its counts in order."""
+    return doc.id, list(doc.counts.items()), doc.total_tokens
+
+
+def lexical_setting(data, words):
+    """Stopwords and a stem lexicon over ``words``, which may map to ""."""
+    stopwords = StopwordList(frozenset(data.draw(st.lists(st.sampled_from(words)))))
+    entries = data.draw(
+        st.dictionaries(st.sampled_from(words), st.sampled_from(["", *words]))
+    )
+    return stopwords, StemLexicon(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(ALPHABET, min_size=1, max_size=5), min_size=1, max_size=6), st.data())
+def test_preprocess_with_shared_memo_matches_plain_chain(pieces, data):
+    # Texts repeat a few pieces, so chunks and tokens recur within and
+    # across documents and the memo is hit.
+    texts = data.draw(
+        st.lists(
+            st.lists(st.sampled_from([*pieces, *WHITESPACE]), max_size=20).map("".join),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    docs = [RawDocument(f"d{i}", text) for i, text in enumerate(texts)]
+    words = sorted({normalize(t) for text in texts for t in tokenize(text)}) or ["a"]
+    # Two settings in a row: each memo serves one setting only.
+    for _ in range(2):
+        stopwords, lexicon = lexical_setting(data, words)
+        terms = {}
+        for doc in docs:
+            expected = listed(reference_preprocess(doc, stopwords, lexicon))
+            assert listed(preprocess(doc, stopwords, lexicon, terms)) == expected
+            assert listed(preprocess(doc, stopwords, lexicon)) == expected

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -28,10 +29,14 @@ from synsim import (
     format_score,
     load_corpus,
     load_synonym_table,
+    preprocess,
     read_documents,
     render_report,
 )
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+TRANSIT = FIXTURES / "corpus" / "transit"
+ORCHARD = FIXTURES / "corpus" / "orchard"
 EMPTY_STOPS = StopwordList(frozenset())
 EMPTY_LEX = StemLexicon({})
 
@@ -72,6 +77,20 @@ def test_load_corpus_basic(tmp_path):
     corpus = load_corpus(directory, EMPTY_STOPS, EMPTY_LEX)
     assert len(corpus) == 2
     assert corpus.ids == ("a1", "a2")
+
+
+def test_load_corpus_equals_per_document_preprocess(
+    fixture_corpus, fixture_stopwords, fixture_lexicon
+):
+    # load_corpus shares one token memo across documents; each document
+    # must still equal preprocess with a memo of its own, counts order too.
+    raw = sorted(read_documents(TRANSIT) + read_documents(ORCHARD), key=lambda d: d.id)
+    expected = [preprocess(d, fixture_stopwords, fixture_lexicon) for d in raw]
+
+    def listed(docs):
+        return [(d.id, list(d.counts.items()), d.total_tokens) for d in docs]
+
+    assert listed(fixture_corpus) == listed(expected)
 
 
 def test_load_corpus_duplicate_ids_across_directories(tmp_path):

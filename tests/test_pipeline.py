@@ -34,8 +34,13 @@ def test_tokenize_digit_runs_dropped():
 
 
 def test_tokenize_mixed_alphanumeric():
-    # digits split letter runs apart; they never join them
+    # every non-isalpha character splits letter runs apart, never joins them:
+    # digits, "_", superscripts, letter-like numerals, combining marks
     assert tokenize("abc123def") == ["abc", "def"]
+    assert tokenize("a_b") == ["a", "b"]
+    assert tokenize("x²y") == ["x", "y"]
+    assert tokenize("aⅫb") == ["a", "b"]
+    assert tokenize("e\u0301t") == ["e", "t"]
 
 
 @pytest.mark.parametrize(
