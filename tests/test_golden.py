@@ -1,8 +1,8 @@
 """Byte-for-byte CLI output on the fixture corpus.
 
-The files under golden/ were written by the CLI before the weighting and
-loading code was consolidated; any change to scores or formatting shows
-up here as a diff.
+Each file under golden/ was written by the CLI before a rewrite of the
+code that produces it; any change to scores or formatting shows up here
+as a diff.
 """
 
 from pathlib import Path
@@ -29,6 +29,23 @@ CASES = {
     "matrix.csv": ["matrix", str(TRANSIT), "a01", "--format", "csv"],
     "vector.txt": ["vector", str(TRANSIT), "a01"],
     "sim.txt": ["sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT)],
+    "sim-traditional.txt": [
+        "sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT),
+        "--mode", "traditional",
+    ],
+    "sim-modified.txt": [
+        "sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT),
+        "--mode", "modified",
+    ],
+    "sim-dice-cosine.txt": [
+        "sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT),
+        "--measures", "dice,cosine",
+    ],
+    "vector-traditional.txt": ["vector", str(TRANSIT), "a01", "--mode", "traditional"],
+    "vector-modified.txt": ["vector", str(TRANSIT), "a01", "--mode", "modified"],
+    "matrix-jaccard.csv": [
+        "matrix", str(TRANSIT), "a01", "--measures", "jaccard", "--format", "csv",
+    ],
 }
 
 
