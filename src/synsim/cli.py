@@ -18,8 +18,8 @@ from .errors import ConfigError, CorpusError, LexiconFormatError, SynsimError, c
 from .evaluation import (
     FORMATS,
     ComparisonConfig,
+    ReportTable,
     anchor_matrix,
-    compare_pair,
     delta_summary,
     format_score,
     load_corpus,
@@ -83,7 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--stopwords", help="stopword file, one word per line")
     common.add_argument("--stems", help="surface-to-stem TSV file")
     common.add_argument("--synonyms", help="synonym table file, one row per line")
-    common.add_argument("--mode", choices=MODES)
+    common.add_argument(
+        "--mode",
+        choices=MODES,
+        help="schemes printed by sim and vector; matrix and report always "
+        "print both, and any mode but traditional requires --synonyms",
+    )
     common.add_argument("--measures", help="comma-separated subset of cosine,jaccard,dice")
     common.add_argument("--smoothing", choices=SMOOTHINGS)
     common.add_argument("--format", choices=FORMATS)
@@ -96,10 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("corpus_dir", help="directory supplying the IDF collection")
+    p.set_defaults(run=cmd_sim)
 
     p = sub.add_parser("matrix", parents=[common], help="one anchor against the rest")
     p.add_argument("corpus_dir")
     p.add_argument("anchor_id")
+    p.set_defaults(run=cmd_matrix)
 
     p = sub.add_parser(
         "report", parents=[common], help="similar/dissimilar delta summary"
@@ -107,13 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("similar_dir")
     p.add_argument("dissimilar_dir")
     p.add_argument("anchor_id")
+    p.set_defaults(run=cmd_report)
 
     p = sub.add_parser("preprocess", parents=[common], help="show the token trace")
     p.add_argument("file")
+    p.set_defaults(run=cmd_preprocess)
 
     p = sub.add_parser("vector", parents=[common], help="dump a document's weights")
     p.add_argument("corpus_dir")
     p.add_argument("doc_id")
+    p.set_defaults(run=cmd_vector)
 
     return parser
 
@@ -214,7 +224,7 @@ def _load_lexicons(cfg: CliConfig) -> tuple[StopwordList, StemLexicon]:
 def _load_corpus(cfg: CliConfig, directories) -> tuple[Corpus, list[list[str]]]:
     """The corpus of ``directories`` for a weighted command.
 
-    Also returns the document ids of each directory, in file order.
+    Also returns the document ids of each directory, in id order.
     """
     if cfg.mode != "traditional" and not cfg.synonyms_path:
         raise ConfigError(
@@ -251,62 +261,61 @@ def _emit(cfg: CliConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_sim(cfg: CliConfig, file_a, file_b, corpus_dir) -> int:
-    corpus, _ = _load_corpus(cfg, [corpus_dir])
-    id_a, id_b = _document_id(file_a, corpus_dir), _document_id(file_b, corpus_dir)
-    comparison = _comparison_config(cfg)
-    lines = []
-    for measure in cfg.measures:
-        result = compare_pair(corpus, id_a, id_b, measure, comparison)
-        fields = [measure]
-        if cfg.mode in ("traditional", "both"):
-            fields.append(f"traditional={format_score(result.traditional)}")
-        if cfg.mode in ("modified", "both"):
-            fields.append(f"modified={format_score(result.modified)}")
-        if cfg.mode == "both":
-            fields.append(f"delta={format_score(result.delta)}")
-        lines.append(" ".join(fields))
+def _columns(cfg: CliConfig) -> tuple[str, ...]:
+    """The weighting schemes that ``sim`` and ``vector`` print, in order."""
+    return SCHEMES if cfg.mode == "both" else (cfg.mode,)
+
+
+def cmd_sim(cfg: CliConfig, args) -> int:
+    corpus, _ = _load_corpus(cfg, [args.corpus_dir])
+    id_a = _document_id(args.file_a, args.corpus_dir)
+    id_b = _document_id(args.file_b, args.corpus_dir)
+    table = anchor_matrix(corpus, id_a, [id_b], cfg.measures, _comparison_config(cfg))
+    columns = _columns(cfg)
+    if cfg.mode == "both":
+        columns += ("delta",)
+    lines = [
+        " ".join([row.measure, *(f"{c}={format_score(getattr(row, c))}" for c in columns)])
+        for row in table.rows
+    ]
     _emit(cfg, "".join(line + "\n" for line in lines))
     return 0
 
 
-def _targets(corpus_ids, anchor_id) -> list[str]:
-    return [doc_id for doc_id in corpus_ids if doc_id != anchor_id]
-
-
-def cmd_matrix(cfg: CliConfig, corpus_dir, anchor_id) -> int:
-    corpus, _ = _load_corpus(cfg, [corpus_dir])
+def _tables(cfg: CliConfig, directories, anchor_id) -> list[ReportTable]:
+    """One table per directory: ``anchor_id`` against the directory's other documents."""
+    corpus, directory_ids = _load_corpus(cfg, directories)
     corpus.document(anchor_id)
-    table = anchor_matrix(
-        corpus,
-        anchor_id,
-        _targets(corpus.ids, anchor_id),
-        cfg.measures,
-        _comparison_config(cfg),
-    )
+    comparison = _comparison_config(cfg)
+    return [
+        anchor_matrix(
+            corpus,
+            anchor_id,
+            [doc_id for doc_id in ids if doc_id != anchor_id],
+            cfg.measures,
+            comparison,
+        )
+        for ids in directory_ids
+    ]
+
+
+def cmd_matrix(cfg: CliConfig, args) -> int:
+    (table,) = _tables(cfg, [args.corpus_dir], args.anchor_id)
     _emit(cfg, render_report(table, cfg.output_format))
     return 0
 
 
-def cmd_report(cfg: CliConfig, similar_dir, dissimilar_dir, anchor_id) -> int:
-    corpus, (similar_ids, dissimilar_ids) = _load_corpus(cfg, [similar_dir, dissimilar_dir])
-    corpus.document(anchor_id)
-    comparison = _comparison_config(cfg)
-    similar = anchor_matrix(
-        corpus, anchor_id, _targets(similar_ids, anchor_id), cfg.measures, comparison
-    )
-    dissimilar = anchor_matrix(
-        corpus, anchor_id, _targets(dissimilar_ids, anchor_id), cfg.measures, comparison
-    )
-    summary = delta_summary(similar, dissimilar)
-    _emit(cfg, render_report(summary, cfg.output_format))
+def cmd_report(cfg: CliConfig, args) -> int:
+    similar, dissimilar = _tables(cfg, [args.similar_dir, args.dissimilar_dir], args.anchor_id)
+    _emit(cfg, render_report(delta_summary(similar, dissimilar), cfg.output_format))
     return 0
 
 
-def cmd_preprocess(cfg: CliConfig, file) -> int:
-    text = _read_input(Path.read_text, Path(file), "utf-8")
+def cmd_preprocess(cfg: CliConfig, args) -> int:
+    path = Path(args.file)
+    text = _read_input(Path.read_text, path, "utf-8")
     stopwords, lexicon = _load_lexicons(cfg)
-    doc = RawDocument(id=Path(file).stem, text=text)
+    doc = RawDocument(id=path.stem, text=text)
     lines = []
     for token in tokenize(text):
         norm = normalize(token)
@@ -324,24 +333,16 @@ def cmd_preprocess(cfg: CliConfig, file) -> int:
     return 0
 
 
-def cmd_vector(cfg: CliConfig, corpus_dir, doc_id) -> int:
-    corpus, _ = _load_corpus(cfg, [corpus_dir])
-    doc = corpus.document(doc_id)
+def cmd_vector(cfg: CliConfig, args) -> int:
+    corpus, _ = _load_corpus(cfg, [args.corpus_dir])
+    doc = corpus.document(args.doc_id)
     vocabulary = tuple(sorted(doc.counts))
-    traditional_config, modified_config = _comparison_config(cfg).weightings(corpus)
-    lines = []
-    traditional = modified = None
-    if cfg.mode in ("traditional", "both"):
-        traditional = vectorize(doc, corpus, vocabulary, traditional_config)
-    if cfg.mode in ("modified", "both"):
-        modified = vectorize(doc, corpus, vocabulary, modified_config)
-    for term in vocabulary:
-        fields = [term]
-        if traditional is not None:
-            fields.append(f"traditional={format_score(traditional.get(term))}")
-        if modified is not None:
-            fields.append(f"modified={format_score(modified.get(term))}")
-        lines.append(" ".join(fields))
+    weightings = dict(zip(SCHEMES, _comparison_config(cfg).weightings(corpus)))
+    vectors = {c: vectorize(doc, corpus, vocabulary, weightings[c]) for c in _columns(cfg)}
+    lines = [
+        " ".join([term, *(f"{c}={format_score(v.get(term))}" for c, v in vectors.items())])
+        for term in vocabulary
+    ]
     _emit(cfg, "".join(line + "\n" for line in lines))
     return 0
 
@@ -356,18 +357,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        cfg = resolve_config(args)
-        if args.command == "sim":
-            return cmd_sim(cfg, args.file_a, args.file_b, args.corpus_dir)
-        if args.command == "matrix":
-            return cmd_matrix(cfg, args.corpus_dir, args.anchor_id)
-        if args.command == "report":
-            return cmd_report(cfg, args.similar_dir, args.dissimilar_dir, args.anchor_id)
-        if args.command == "preprocess":
-            return cmd_preprocess(cfg, args.file)
-        if args.command == "vector":
-            return cmd_vector(cfg, args.corpus_dir, args.doc_id)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(resolve_config(args), args)
     except ConfigError as exc:
         print(f"synsim: error: {exc}", file=sys.stderr)
         return 64

@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     ConfigError,
@@ -29,6 +29,7 @@ from .similarity import MEASURES, similarity
 from .weighting import (
     Corpus,
     DocumentVector,
+    ModifiedIdf,
     Smoothing,
     WeightingConfig,
     build_vocabulary,
@@ -48,7 +49,7 @@ class ComparisonConfig:
     """
 
     smoothing: Smoothing = "plus_one_when_zero"
-    modified_idf: str = "resolved"
+    modified_idf: ModifiedIdf = "resolved"
     synonym_table: SynonymTable | None = None
 
     def weightings(self, corpus: Corpus) -> tuple[WeightingConfig, WeightingConfig]:
@@ -132,7 +133,7 @@ def read_documents(directory) -> list[RawDocument]:
     if not root.is_dir():
         raise CorpusError(f"not a readable directory: {root}")
     docs = []
-    for path in sorted(root.glob("*.txt")):
+    for path in sorted(root.glob("*.txt"), key=lambda p: p.stem):
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -181,52 +182,6 @@ def load_corpus(
     return Corpus(processed, synonym_table=synonym_table)
 
 
-def _anchor_scorer(
-    corpus: Corpus,
-    anchor_id: str,
-    measures: Sequence[str],
-    config: ComparisonConfig,
-) -> Callable[[str], list[PairResult]]:
-    """Scorer of ``anchor_id`` against one target at a time, every measure.
-
-    A term's weight depends on the term, the document and the weighting,
-    never on the pair; the pair only keeps the union of the two documents'
-    terms. So the anchor's traditional vector and its modified weights over
-    its own terms are built once, and each target adds only the target's
-    terms that the anchor reaches through a synonym.
-    """
-    anchor = corpus.document(anchor_id)
-    traditional, modified = config.weightings(corpus)
-    anchor_terms = tuple(anchor.counts)
-    a_trad = vectorize(anchor, corpus, anchor_terms, traditional)
-    a_own = vectorize(anchor, corpus, anchor_terms, modified).weights
-
-    def score(target_id: str) -> list[PairResult]:
-        target = corpus.document(target_id)
-        b_trad = vectorize(target, corpus, tuple(target.counts), traditional)
-        b_mod = vectorize(target, corpus, build_vocabulary(anchor, target), modified)
-        target_only = tuple(t for t in target.counts if t not in anchor.counts)
-        reached = vectorize(anchor, corpus, target_only, modified).weights
-        a_mod = DocumentVector(doc_id=anchor_id, weights={**a_own, **reached})
-        results = []
-        for measure in measures:
-            traditional_value = similarity(measure, a_trad, b_trad).value
-            modified_value = similarity(measure, a_mod, b_mod).value
-            results.append(
-                PairResult(
-                    anchor_id=anchor_id,
-                    target_id=target_id,
-                    measure=measure,
-                    traditional=traditional_value,
-                    modified=modified_value,
-                    delta=modified_value - traditional_value,
-                )
-            )
-        return results
-
-    return score
-
-
 def compare_pair(
     corpus: Corpus,
     id_a: str,
@@ -235,7 +190,7 @@ def compare_pair(
     config: ComparisonConfig = ComparisonConfig(),
 ) -> PairResult:
     """Traditional and modified scores of one pair under one measure."""
-    return _anchor_scorer(corpus, id_a, [measure], config)(id_b)[0]
+    return anchor_matrix(corpus, id_a, [id_b], [measure], config).rows[0]
 
 
 def anchor_matrix(
@@ -248,13 +203,41 @@ def anchor_matrix(
     """Score ``anchor_id`` against every target, with per-measure averages.
 
     Rows are ordered by target (in the given order), then by measure.
+
+    A term's weight depends on the term, the document and the weighting,
+    never on the pair; the pair only keeps the union of the two documents'
+    terms. So the anchor's traditional vector and its modified weights over
+    its own terms are built once, and each target adds only the target's
+    terms that the anchor reaches through a synonym.
     """
     if not target_ids:
         raise CorpusError(f"anchor {anchor_id!r} has no targets to compare against")
-    score = _anchor_scorer(corpus, anchor_id, measures, config)
+    anchor = corpus.document(anchor_id)
+    traditional, modified = config.weightings(corpus)
+    anchor_terms = tuple(anchor.counts)
+    a_trad = vectorize(anchor, corpus, anchor_terms, traditional)
+    a_own = vectorize(anchor, corpus, anchor_terms, modified).weights
     rows: list[PairResult] = []
     for target_id in target_ids:
-        rows.extend(score(target_id))
+        target = corpus.document(target_id)
+        b_trad = vectorize(target, corpus, tuple(target.counts), traditional)
+        b_mod = vectorize(target, corpus, build_vocabulary(anchor, target), modified)
+        target_only = tuple(t for t in target.counts if t not in anchor.counts)
+        reached = vectorize(anchor, corpus, target_only, modified).weights
+        a_mod = DocumentVector(doc_id=anchor_id, weights={**a_own, **reached})
+        for measure in measures:
+            traditional_value = similarity(measure, a_trad, b_trad).value
+            modified_value = similarity(measure, a_mod, b_mod).value
+            rows.append(
+                PairResult(
+                    anchor_id=anchor_id,
+                    target_id=target_id,
+                    measure=measure,
+                    traditional=traditional_value,
+                    modified=modified_value,
+                    delta=modified_value - traditional_value,
+                )
+            )
     averages: dict[str, MeasureAverages] = {}
     for measure in measures:
         group = [r for r in rows if r.measure == measure]
@@ -304,89 +287,33 @@ def render_report(report, format: str = "json") -> str:
     values; CSV is a display format with scores rendered to six decimals.
     """
     check_choice("format", format, FORMATS)
-    if format == "json":
-        return _render_json(report)
-    return _render_csv(report)
-
-
-def _render_json(report) -> str:
     if isinstance(report, ReportTable):
+        header = ("anchor", "target", "measure", "traditional", "modified", "delta")
+        pairs = [
+            (r.anchor_id, r.target_id, r.measure, r.traditional, r.modified, r.delta)
+            for r in report.rows
+        ]
         payload = {
             "anchor": report.anchor_id,
-            "rows": [
-                {
-                    "anchor": r.anchor_id,
-                    "target": r.target_id,
-                    "measure": r.measure,
-                    "traditional": r.traditional,
-                    "modified": r.modified,
-                    "delta": r.delta,
-                }
-                for r in report.rows
-            ],
-            "averages": {
-                measure: {
-                    "traditional": a.traditional,
-                    "modified": a.modified,
-                    "delta": a.delta,
-                }
-                for measure, a in report.averages.items()
-            },
+            "rows": [dict(zip(header, pair)) for pair in pairs],
+            "averages": {m: asdict(a) for m, a in report.averages.items()},
         }
+        rows = pairs + [
+            (report.anchor_id, "average", m, *astuple(a))
+            for m, a in report.averages.items()
+        ]
     elif isinstance(report, DeltaSummary):
-        payload = {
-            "measures": {
-                measure: {
-                    "similar_delta": e.similar_delta,
-                    "dissimilar_delta": e.dissimilar_delta,
-                    "gap": e.gap,
-                }
-                for measure, e in report.entries.items()
-            }
-        }
+        header = ("measure", "similar_delta", "dissimilar_delta", "gap")
+        payload = {"measures": {m: asdict(e) for m, e in report.entries.items()}}
+        rows = [(m, *astuple(e)) for m, e in report.entries.items()]
     else:
         raise ConfigError(f"cannot render {type(report).__name__}")
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-
-
-def _render_csv(report) -> str:
+    if format == "json":
+        return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if isinstance(report, ReportTable):
-        writer.writerow(["anchor", "target", "measure", "traditional", "modified", "delta"])
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.anchor_id,
-                    r.target_id,
-                    r.measure,
-                    format_score(r.traditional),
-                    format_score(r.modified),
-                    format_score(r.delta),
-                ]
-            )
-        for measure, a in report.averages.items():
-            writer.writerow(
-                [
-                    report.anchor_id,
-                    "average",
-                    measure,
-                    format_score(a.traditional),
-                    format_score(a.modified),
-                    format_score(a.delta),
-                ]
-            )
-    elif isinstance(report, DeltaSummary):
-        writer.writerow(["measure", "similar_delta", "dissimilar_delta", "gap"])
-        for measure, e in report.entries.items():
-            writer.writerow(
-                [
-                    measure,
-                    format_score(e.similar_delta),
-                    format_score(e.dissimilar_delta),
-                    format_score(e.gap),
-                ]
-            )
-    else:
-        raise ConfigError(f"cannot render {type(report).__name__}")
+    writer.writerow(header)
+    for row in rows:
+        # Every row ends in its three scores.
+        writer.writerow([*row[:-3], *map(format_score, row[-3:])])
     return out.getvalue()

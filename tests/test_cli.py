@@ -112,6 +112,28 @@ def test_fixture_pair_boost_shows_in_sim(capsys):
         assert float(parts["modified"]) > float(parts["traditional"])
 
 
+def test_sim_weights_the_anchor_once_for_every_measure(capsys, monkeypatch):
+    import synsim.evaluation
+
+    calls = []
+    vectorize = synsim.evaluation.vectorize
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].id)
+        return vectorize(*args, **kwargs)
+
+    monkeypatch.setattr(synsim.evaluation, "vectorize", counted)
+    code, out, _ = run(
+        capsys, "sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT),
+        *FIXTURE_FLAGS, "--measures", "cosine,jaccard,dice",
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 3
+    # The anchor's two own-term vectors, then per target its two vectors
+    # and the anchor's synonym-reached terms.
+    assert sorted(calls) == ["a01", "a01", "a01", "a02", "a02"]
+
+
 def test_unknown_measure_exits_64(small_setup, capsys):
     corpus, flags = small_setup
     code, _, _ = run(
@@ -133,6 +155,22 @@ def test_bad_flag_value_exits_64(small_setup, capsys):
 def test_unknown_subcommand_exits_64(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 64
+
+
+def test_no_subcommand_exits_64(capsys):
+    code, _, err = run(capsys)
+    assert code == 64
+    assert "command" in err
+
+
+@pytest.mark.parametrize(
+    "command", ["synsim", "sim", "matrix", "report", "preprocess", "vector"]
+)
+def test_help_exits_0(command, capsys):
+    argv = ["--help"] if command == "synsim" else [command, "--help"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: synsim")
 
 
 def test_matrix_json_layout(capsys):

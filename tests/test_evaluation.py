@@ -67,6 +67,12 @@ def test_read_documents_sorted_ids(tmp_path):
     assert docs[0].text == "y"
 
 
+def test_read_documents_orders_by_id_not_file_name(tmp_path):
+    # "a-b.txt" sorts before "a.txt", but the id "a" sorts before "a-b".
+    directory = write_corpus(tmp_path / "c", {"c": "x", "a-b": "y", "a": "z"})
+    assert [d.id for d in read_documents(directory)] == ["a", "a-b", "c"]
+
+
 def test_read_documents_missing_directory(tmp_path):
     with pytest.raises(CorpusError):
         read_documents(tmp_path / "nope")
