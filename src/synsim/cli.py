@@ -266,7 +266,7 @@ def _columns(cfg: CliConfig) -> tuple[str, ...]:
     return SCHEMES if cfg.mode == "both" else (cfg.mode,)
 
 
-def cmd_sim(cfg: CliConfig, args) -> int:
+def cmd_sim(cfg: CliConfig, args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(cfg, [args.corpus_dir])
     id_a = _document_id(args.file_a, args.corpus_dir)
     id_b = _document_id(args.file_b, args.corpus_dir)
@@ -299,19 +299,19 @@ def _tables(cfg: CliConfig, directories, anchor_id) -> list[ReportTable]:
     ]
 
 
-def cmd_matrix(cfg: CliConfig, args) -> int:
+def cmd_matrix(cfg: CliConfig, args: argparse.Namespace) -> int:
     (table,) = _tables(cfg, [args.corpus_dir], args.anchor_id)
     _emit(cfg, render_report(table, cfg.output_format))
     return 0
 
 
-def cmd_report(cfg: CliConfig, args) -> int:
+def cmd_report(cfg: CliConfig, args: argparse.Namespace) -> int:
     similar, dissimilar = _tables(cfg, [args.similar_dir, args.dissimilar_dir], args.anchor_id)
     _emit(cfg, render_report(delta_summary(similar, dissimilar), cfg.output_format))
     return 0
 
 
-def cmd_preprocess(cfg: CliConfig, args) -> int:
+def cmd_preprocess(cfg: CliConfig, args: argparse.Namespace) -> int:
     path = Path(args.file)
     text = _read_input(Path.read_text, path, "utf-8")
     stopwords, lexicon = _load_lexicons(cfg)
@@ -333,7 +333,7 @@ def cmd_preprocess(cfg: CliConfig, args) -> int:
     return 0
 
 
-def cmd_vector(cfg: CliConfig, args) -> int:
+def cmd_vector(cfg: CliConfig, args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(cfg, [args.corpus_dir])
     doc = corpus.document(args.doc_id)
     vocabulary = tuple(sorted(doc.counts))

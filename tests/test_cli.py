@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import synsim.evaluation
 from synsim.cli import main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -113,8 +114,6 @@ def test_fixture_pair_boost_shows_in_sim(capsys):
 
 
 def test_sim_weights_the_anchor_once_for_every_measure(capsys, monkeypatch):
-    import synsim.evaluation
-
     calls = []
     vectorize = synsim.evaluation.vectorize
 
