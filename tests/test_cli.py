@@ -452,3 +452,66 @@ def test_sim_accepts_file_named_through_another_path_to_corpus(small_setup, caps
     )
     assert code == 0
     assert out == "cosine traditional=1.000000 modified=1.000000 delta=0.000000\n"
+
+
+MATRIX = ["matrix", str(TRANSIT), "a01"]
+SIM = ["sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT)]
+
+# key: (command, the value the config file gives, the value the flag gives).
+# "{tmp}" stands for the test's temporary directory. A run with the file's
+# smoothing "bogus" fails, which is how that value shows: the fixture has
+# no term of document frequency zero, so "none" prints what the default does.
+PRECEDENCE = {
+    "stopwords": (MATRIX, str(FIXTURES / "stopwords.txt"), "{tmp}/empty.txt"),
+    "stems": (MATRIX, str(FIXTURES / "stems.tsv"), "{tmp}/empty.txt"),
+    "synonyms": (MATRIX, str(FIXTURES / "synonyms.txt"), "{tmp}/empty.txt"),
+    "mode": (SIM, "modified", "traditional"),
+    "measures": (MATRIX, "dice", "cosine,jaccard"),
+    "smoothing": (MATRIX, "bogus", "none"),
+    "format": (MATRIX, "csv", "json"),
+    "out": (MATRIX, "{tmp}/out/first.txt", "{tmp}/out/second.txt"),
+}
+
+
+@pytest.mark.parametrize("key", PRECEDENCE)
+def test_config_file_supplies_each_flagged_key_and_the_flag_wins(key, tmp_path, capsys):
+    command, file_value, flag_value = PRECEDENCE[key]
+    file_value = file_value.format(tmp=tmp_path)
+    flag_value = flag_value.format(tmp=tmp_path)
+    (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+    outputs = tmp_path / "out"
+    outputs.mkdir()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: file_value}), encoding="utf-8")
+    others = [
+        item
+        for flag, value in zip(FIXTURE_FLAGS[::2], FIXTURE_FLAGS[1::2])
+        if flag != f"--{key}"
+        for item in (flag, value)
+    ]
+
+    def observe(*extra):
+        code, out, _ = run(capsys, *command, *others, *extra)
+        written = {}
+        for path in sorted(outputs.iterdir()):
+            written[path.name] = path.read_text(encoding="utf-8")
+            path.unlink()
+        return code, out, written
+
+    from_flag = observe(f"--{key}", file_value)
+    overridden = observe(f"--{key}", flag_value)
+    assert from_flag != overridden
+    assert observe("--config", str(config)) == from_flag
+    assert observe("--config", str(config), f"--{key}", flag_value) == overridden
+
+
+@pytest.mark.parametrize(
+    "entry", [{"modified_idf": "bogus"}, {"mode": None}], ids=["modified_idf-bogus", "mode-null"]
+)
+def test_config_file_bad_value_exits_64(entry, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(entry), encoding="utf-8")
+    code, out, err = run(capsys, *MATRIX, *FIXTURE_FLAGS, "--config", str(config))
+    assert code == 64
+    assert out == ""
+    assert next(iter(entry)) in err

@@ -5,6 +5,7 @@ code that produces it; any change to scores or formatting shows up here
 as a diff.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,24 @@ def test_cli_output_matches_golden_bytes(name, capsysbinary):
     code = main(CASES[name] + FIXTURE_FLAGS)
     assert code == 0
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+
+
+# Every setting of this case comes from the config file, including
+# modified_idf and smoothing, which have no flag.
+CONFIG_ONLY = {
+    "stopwords": str(FIXTURES / "stopwords.txt"),
+    "stems": str(FIXTURES / "stems.tsv"),
+    "synonyms": str(FIXTURES / "synonyms.txt"),
+    "modified_idf": "raw",
+    "smoothing": "none",
+    "measures": ["dice", "cosine"],
+    "format": "csv",
+}
+
+
+def test_config_file_output_matches_golden_bytes(tmp_path, capsysbinary):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG_ONLY), encoding="utf-8")
+    code = main(["matrix", str(TRANSIT), "a01", "--config", str(config)])
+    assert code == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / "matrix-config.csv").read_bytes()
