@@ -70,12 +70,6 @@ processed_kk = preprocess(kazakh, load_stopwords(io.StringIO("ал\n")), StemLex
 print("\nCyrillic sample 'Ал мұнай мұнай.' with stopword 'ал':")
 print(f"  counts: {processed_kk.counts}")
 
-# An optional rule hook can catch lexicon misses before identity fallback.
-def strip_plural_s(token: str):
-    if token.endswith("s") and len(token) > 3:
-        return token[:-1]
-    return None
-
-print("\nrule hook on a lexicon miss:")
-print(f"  stem('signals') -> {stem('signals', lexicon, strip_plural_s)!r}")
-print(f"  stem('grass')   -> {stem('grass', StemLexicon({}))!r} (identity fallback)")
+# A token the stem lexicon does not list is its own stem.
+print("\nstem() on a lexicon miss:")
+print(f"  stem('grass') -> {stem('grass', StemLexicon({}))!r} (identity fallback)")

@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: sim, matrix, report, preprocess, vector. Exit codes are a
-stable contract for scripting: 0 success, 2 input or lookup errors, 64
-configuration errors. Flags override values from an optional JSON config
-file (--config), which overrides built-in defaults.
+Subcommands: sim, matrix, report, preprocess, vector. A run parses its
+arguments into one namespace, then fills in every setting not given as a
+flag from the optional JSON config file (--config), and failing that from
+the built-in defaults. The chosen command reads that namespace and returns
+its output text, which ``main`` writes once, to stdout or to --out. Exit
+codes are a stable contract for scripting: 0 success, 2 input or lookup
+errors, 64 configuration errors.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, CorpusError, LexiconFormatError, SynsimError, check_choice
@@ -59,19 +61,6 @@ class UsageError(ConfigError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class CliConfig:
-    stopwords_path: str
-    stems_path: str
-    synonyms_path: str | None
-    mode: str
-    measures: list[str]
-    smoothing: str
-    output_format: str
-    output_path: str | None
-    modified_idf: str
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,45 +148,22 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def resolve_config(args: argparse.Namespace) -> CliConfig:
-    """Merge flags over config-file values over defaults, then validate."""
+def resolve_config(args: argparse.Namespace) -> None:
+    """Fill each setting not given as a flag from the config file, else the default; validate."""
     from_file = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, file_key, default=None):
-        if flag_value is not None:
-            return flag_value
-        if file_key in from_file:
-            return from_file[file_key]
-        return default
-
-    mode = pick(args.mode, "mode", DEFAULTS["mode"])
-    check_choice("mode", mode, MODES)
-    smoothing = pick(args.smoothing, "smoothing", DEFAULTS["smoothing"])
-    check_choice("smoothing", smoothing, SMOOTHINGS)
-    output_format = pick(args.format, "format", DEFAULTS["format"])
-    check_choice("format", output_format, FORMATS)
-    modified_idf = from_file.get("modified_idf", DEFAULTS["modified_idf"])
-    check_choice("modified_idf", modified_idf, MODIFIED_IDFS)
-    measures = _parse_measures(pick(args.measures, "measures", DEFAULTS["measures"]))
-
-    stopwords_path = pick(args.stopwords, "stopwords")
-    stems_path = pick(args.stems, "stems")
-    if not stopwords_path:
+    for key in CONFIG_FILE_KEYS:
+        # modified_idf has no flag. A null in the file stays null, and fails below.
+        if getattr(args, key, None) is None:
+            setattr(args, key, from_file.get(key, DEFAULTS.get(key)))
+    check_choice("mode", args.mode, MODES)
+    check_choice("smoothing", args.smoothing, SMOOTHINGS)
+    check_choice("format", args.format, FORMATS)
+    check_choice("modified_idf", args.modified_idf, MODIFIED_IDFS)
+    args.measures = _parse_measures(args.measures)
+    if not args.stopwords:
         raise ConfigError("--stopwords is required")
-    if not stems_path:
+    if not args.stems:
         raise ConfigError("--stems is required")
-
-    return CliConfig(
-        stopwords_path=stopwords_path,
-        stems_path=stems_path,
-        synonyms_path=pick(args.synonyms, "synonyms"),
-        mode=mode,
-        measures=measures,
-        smoothing=smoothing,
-        output_format=output_format,
-        output_path=pick(args.out, "out"),
-        modified_idf=modified_idf,
-    )
 
 
 def _require_file(path):
@@ -214,27 +180,27 @@ def _read_input(load, path, *args):
         raise SynsimError(f"{path}: {exc}") from exc
 
 
-def _load_lexicons(cfg: CliConfig) -> tuple[StopwordList, StemLexicon]:
+def _load_lexicons(args: argparse.Namespace) -> tuple[StopwordList, StemLexicon]:
     return (
-        _read_input(load_stopwords, cfg.stopwords_path),
-        _read_input(load_stem_lexicon, cfg.stems_path),
+        _read_input(load_stopwords, args.stopwords),
+        _read_input(load_stem_lexicon, args.stems),
     )
 
 
-def _load_corpus(cfg: CliConfig, directories) -> tuple[Corpus, list[list[str]]]:
+def _load_corpus(args: argparse.Namespace, directories) -> tuple[Corpus, list[list[str]]]:
     """The corpus of ``directories`` for a weighted command.
 
     Also returns the document ids of each directory, in id order.
     """
-    if cfg.mode != "traditional" and not cfg.synonyms_path:
+    if args.mode != "traditional" and not args.synonyms:
         raise ConfigError(
-            f"mode {cfg.mode!r} requires --synonyms (or a synonyms entry "
+            f"mode {args.mode!r} requires --synonyms (or a synonyms entry "
             "in the config file)"
         )
-    stopwords, lexicon = _load_lexicons(cfg)
+    stopwords, lexicon = _load_lexicons(args)
     table = None
-    if cfg.synonyms_path:
-        table = _read_input(load_synonym_table, cfg.synonyms_path, lexicon)
+    if args.synonyms:
+        table = _read_input(load_synonym_table, args.synonyms, lexicon)
     read = [(directory, read_documents(directory)) for directory in directories]
     corpus = load_corpus(read, stopwords, lexicon, table)
     return corpus, [[doc.id for doc in docs] for _, docs in read]
@@ -249,72 +215,69 @@ def _document_id(path, corpus_dir) -> str:
     return path.stem
 
 
-def _comparison_config(cfg: CliConfig) -> ComparisonConfig:
-    return ComparisonConfig(smoothing=cfg.smoothing, modified_idf=cfg.modified_idf)
+def _comparison_config(args: argparse.Namespace) -> ComparisonConfig:
+    return ComparisonConfig(smoothing=args.smoothing, modified_idf=args.modified_idf)
 
 
-def _emit(cfg: CliConfig, text: str) -> None:
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as handle:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _columns(cfg: CliConfig) -> tuple[str, ...]:
+def _columns(args: argparse.Namespace) -> tuple[str, ...]:
     """The weighting schemes that ``sim`` and ``vector`` print, in order."""
-    return SCHEMES if cfg.mode == "both" else (cfg.mode,)
+    return SCHEMES if args.mode == "both" else (args.mode,)
 
 
-def cmd_sim(cfg: CliConfig, args: argparse.Namespace) -> int:
-    corpus, _ = _load_corpus(cfg, [args.corpus_dir])
+def cmd_sim(args: argparse.Namespace) -> str:
+    corpus, _ = _load_corpus(args, [args.corpus_dir])
     id_a = _document_id(args.file_a, args.corpus_dir)
     id_b = _document_id(args.file_b, args.corpus_dir)
-    table = anchor_matrix(corpus, id_a, [id_b], cfg.measures, _comparison_config(cfg))
-    columns = _columns(cfg)
-    if cfg.mode == "both":
+    table = anchor_matrix(corpus, id_a, [id_b], args.measures, _comparison_config(args))
+    columns = _columns(args)
+    if args.mode == "both":
         columns += ("delta",)
     lines = [
         " ".join([row.measure, *(f"{c}={format_score(getattr(row, c))}" for c in columns)])
         for row in table.rows
     ]
-    _emit(cfg, "".join(line + "\n" for line in lines))
-    return 0
+    return "".join(line + "\n" for line in lines)
 
 
-def _tables(cfg: CliConfig, directories, anchor_id) -> list[ReportTable]:
+def _tables(args: argparse.Namespace, directories, anchor_id) -> list[ReportTable]:
     """One table per directory: ``anchor_id`` against the directory's other documents."""
-    corpus, directory_ids = _load_corpus(cfg, directories)
+    corpus, directory_ids = _load_corpus(args, directories)
     corpus.document(anchor_id)
-    comparison = _comparison_config(cfg)
+    comparison = _comparison_config(args)
     return [
         anchor_matrix(
             corpus,
             anchor_id,
             [doc_id for doc_id in ids if doc_id != anchor_id],
-            cfg.measures,
+            args.measures,
             comparison,
         )
         for ids in directory_ids
     ]
 
 
-def cmd_matrix(cfg: CliConfig, args: argparse.Namespace) -> int:
-    (table,) = _tables(cfg, [args.corpus_dir], args.anchor_id)
-    _emit(cfg, render_report(table, cfg.output_format))
-    return 0
+def cmd_matrix(args: argparse.Namespace) -> str:
+    (table,) = _tables(args, [args.corpus_dir], args.anchor_id)
+    return render_report(table, args.format)
 
 
-def cmd_report(cfg: CliConfig, args: argparse.Namespace) -> int:
-    similar, dissimilar = _tables(cfg, [args.similar_dir, args.dissimilar_dir], args.anchor_id)
-    _emit(cfg, render_report(delta_summary(similar, dissimilar), cfg.output_format))
-    return 0
+def cmd_report(args: argparse.Namespace) -> str:
+    similar, dissimilar = _tables(args, [args.similar_dir, args.dissimilar_dir], args.anchor_id)
+    return render_report(delta_summary(similar, dissimilar), args.format)
 
 
-def cmd_preprocess(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_preprocess(args: argparse.Namespace) -> str:
     path = Path(args.file)
     text = _read_input(Path.read_text, path, "utf-8")
-    stopwords, lexicon = _load_lexicons(cfg)
+    stopwords, lexicon = _load_lexicons(args)
     doc = RawDocument(id=path.stem, text=text)
     lines = []
     for token in tokenize(text):
@@ -329,22 +292,20 @@ def cmd_preprocess(cfg: CliConfig, args: argparse.Namespace) -> int:
     for term in sorted(processed.counts):
         lines.append(f"{term}\t{processed.counts[term]}")
     lines.append(f"total_tokens\t{processed.total_tokens}")
-    _emit(cfg, "".join(line + "\n" for line in lines))
-    return 0
+    return "".join(line + "\n" for line in lines)
 
 
-def cmd_vector(cfg: CliConfig, args: argparse.Namespace) -> int:
-    corpus, _ = _load_corpus(cfg, [args.corpus_dir])
+def cmd_vector(args: argparse.Namespace) -> str:
+    corpus, _ = _load_corpus(args, [args.corpus_dir])
     doc = corpus.document(args.doc_id)
     vocabulary = tuple(sorted(doc.counts))
-    weightings = dict(zip(SCHEMES, _comparison_config(cfg).weightings(corpus)))
-    vectors = {c: vectorize(doc, corpus, vocabulary, weightings[c]) for c in _columns(cfg)}
+    weightings = dict(zip(SCHEMES, _comparison_config(args).weightings(corpus)))
+    vectors = {c: vectorize(doc, corpus, vocabulary, weightings[c]) for c in _columns(args)}
     lines = [
         " ".join([term, *(f"{c}={format_score(v.get(term))}" for c, v in vectors.items())])
         for term in vocabulary
     ]
-    _emit(cfg, "".join(line + "\n" for line in lines))
-    return 0
+    return "".join(line + "\n" for line in lines)
 
 
 def main(argv=None) -> int:
@@ -357,13 +318,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.run(resolve_config(args), args)
+        resolve_config(args)
+        _emit(args, args.run(args))
     except ConfigError as exc:
         print(f"synsim: error: {exc}", file=sys.stderr)
         return 64
     except (SynsimError, OSError, UnicodeDecodeError) as exc:
         print(f"synsim: error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

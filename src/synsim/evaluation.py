@@ -153,21 +153,24 @@ def load_corpus(
     An entry may also be a ``(directory, documents)`` pair holding what
     :func:`read_documents` returned for that directory, so a caller that
     needs each directory's documents reads the directory only once.
-    Documents are ordered by id; a duplicate id across directories is an
-    error, as is an entirely empty corpus.
+    Documents are ordered by id. A directory given twice (compared after
+    resolving its path), a duplicate id across directories and an entirely
+    empty corpus are errors.
     """
     if isinstance(directories, (str, Path)):
         directories = [directories]
     names = []
+    places: set[Path] = set()
     raw: list[RawDocument] = []
     seen: set[str] = set()
     for entry in directories:
-        if isinstance(entry, tuple):
-            directory, docs = entry
-        else:
-            directory, docs = entry, read_documents(entry)
+        directory, docs = entry if isinstance(entry, tuple) else (entry, None)
+        place = Path(directory).resolve()
+        if place in places:
+            raise CorpusError(f"directory {directory} is given more than once")
+        places.add(place)
         names.append(directory)
-        for doc in docs:
+        for doc in read_documents(directory) if docs is None else docs:
             if doc.id in seen:
                 raise DuplicateDocumentError(
                     f"document id {doc.id!r} appears in more than one directory"

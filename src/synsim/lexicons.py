@@ -1,7 +1,7 @@
 """Loading and indexing of the three lexical resources.
 
 All three file formats are UTF-8 text, one entry per line, with blank lines
-and ``#`` comment lines ignored:
+and ``#`` comment lines ignored; a leading byte-order mark is dropped:
 
 * stopwords: one word per line
 * stem lexicon: ``surface<TAB>stem`` per line, later duplicates win
@@ -58,16 +58,16 @@ class SynonymRow:
 
 @dataclass(frozen=True)
 class SynonymTable:
-    """Ordered synonym rows plus a term-to-row index.
+    """Ordered synonym rows plus each term's synonym candidates.
 
-    A term appearing in several rows is indexed at the lowest row, and a
-    lookup matches the term anywhere in a row, not only at position 0.
-    Tables compare by value (the index derives from the rows) and are
-    hashable, so a table can key a memo.
+    ``candidates`` maps a term to the other terms of the lowest row that
+    holds it, in row order; a term matches anywhere in a row, not only at
+    position 0. Tables compare by value (the candidates derive from the
+    rows) and are hashable, so a table can key a memo.
     """
 
     rows: tuple[SynonymRow, ...] = ()
-    index: dict[str, int] = field(default_factory=dict)
+    candidates: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     @classmethod
     def empty(cls) -> "SynonymTable":
@@ -77,16 +77,11 @@ class SynonymTable:
         return len(self.rows)
 
     def __contains__(self, term: str) -> bool:
-        return term in self.index
+        return term in self.candidates
 
     def __hash__(self) -> int:
         # The first row keeps hashing O(1); tables sharing it fall back to ==.
         return hash(self.rows[:1])
-
-    def row_of(self, term: str) -> SynonymRow | None:
-        """The lowest-index row containing ``term``, or None."""
-        i = self.index.get(term)
-        return None if i is None else self.rows[i]
 
 
 def synonym_candidates(table: SynonymTable, term: str) -> tuple[str, ...]:
@@ -94,18 +89,16 @@ def synonym_candidates(table: SynonymTable, term: str) -> tuple[str, ...]:
 
     Empty when the term occurs in no row.
     """
-    row = table.row_of(term)
-    if row is None:
-        return ()
-    return tuple(t for t in row.terms if t != term)
+    return table.candidates.get(term, ())
 
 
 def _open_lines(source) -> Iterator[str]:
     if isinstance(source, (str, Path)):
         # Decode errors surface as UnicodeDecodeError with the byte offset.
-        text = Path(source).read_text(encoding="utf-8")
-        return iter(text.splitlines())
-    return iter(source.read().splitlines())
+        text = Path(source).read_text(encoding="utf-8-sig")
+    else:
+        text = source.read().removeprefix("\ufeff")
+    return iter(text.splitlines())
 
 
 def _content_lines(source) -> Iterator[tuple[int, str]]:
@@ -146,12 +139,12 @@ def load_synonym_table(source, lexicon: StemLexicon | None = None) -> SynonymTab
 
     Each line is split on commas; every word is normalized and stemmed with
     the given lexicon, then deduplicated keeping first occurrence. Rows left
-    with fewer than two distinct terms can never fire and are dropped. The
-    index resolves multi-row terms to the lowest retained row.
+    with fewer than two distinct terms can never fire and are dropped. A
+    term in several rows takes its candidates from the lowest retained row.
     """
     lexicon = lexicon or StemLexicon()
     rows: list[SynonymRow] = []
-    index: dict[str, int] = {}
+    candidates: dict[str, tuple[str, ...]] = {}
     for _, line in _content_lines(source):
         words = [w.strip() for w in line.split(",")]
         terms: list[str] = []
@@ -164,6 +157,7 @@ def load_synonym_table(source, lexicon: StemLexicon | None = None) -> SynonymTab
         if len(terms) < 2:
             continue
         for term in terms:
-            index.setdefault(term, len(rows))
+            if term not in candidates:
+                candidates[term] = tuple(t for t in terms if t != term)
         rows.append(SynonymRow(terms=tuple(terms)))
-    return SynonymTable(rows=tuple(rows), index=index)
+    return SynonymTable(rows=tuple(rows), candidates=candidates)

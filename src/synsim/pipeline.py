@@ -10,14 +10,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:
     from .lexicons import StemLexicon, StopwordList
-
-# Optional hook for a rule-based stemmer: called on lexicon misses, may
-# return None to decline the token.
-RuleStemmer = Callable[[str], "str | None"]
 
 # Marks a token missing from a ``preprocess`` memo. None marks a stopword
 # there; "" cannot, because a lexicon may map a token to "", which is a term.
@@ -88,20 +84,10 @@ def filter_stopwords(tokens: Iterable[str], stopwords) -> list[str]:
     return [t for t in tokens if t not in stopwords]
 
 
-def stem(token: str, lexicon: "StemLexicon", rule_stemmer: RuleStemmer | None = None) -> str:
-    """Reduce a normalized token to its stem.
-
-    Lexicon hits win; on a miss the optional rule-based stemmer is consulted,
-    and if it declines (or is absent) the token is returned unchanged.
-    """
+def stem(token: str, lexicon: "StemLexicon") -> str:
+    """Reduce a normalized token to its stem: its lexicon entry, else the token unchanged."""
     mapped = lexicon.lookup(token)
-    if mapped is not None:
-        return mapped
-    if rule_stemmer is not None:
-        ruled = rule_stemmer(token)
-        if ruled:
-            return ruled
-    return token
+    return token if mapped is None else mapped
 
 
 def preprocess(

@@ -265,6 +265,13 @@ def test_report_overlapping_ids_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_report_same_directory_twice_names_it(capsys):
+    code, out, err = run(capsys, "report", str(TRANSIT), str(TRANSIT), "a01", *FIXTURE_FLAGS)
+    assert code == 2
+    assert out == ""
+    assert f"directory {TRANSIT} is given more than once" in err
+
+
 def test_preprocess_trace(tmp_path, capsys):
     doc = tmp_path / "doc.txt"
     doc.write_text("Ал мұнай мұнай.", encoding="utf-8")

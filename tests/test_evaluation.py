@@ -106,6 +106,16 @@ def test_load_corpus_duplicate_ids_across_directories(tmp_path):
         load_corpus([one, two], EMPTY_STOPS, EMPTY_LEX)
 
 
+def test_load_corpus_names_a_directory_given_twice(tmp_path):
+    one = write_corpus(tmp_path / "one", {"a": "x"})
+    two = write_corpus(tmp_path / "two", {"b": "y"})
+    roundabout = two / ".." / "two"
+    with pytest.raises(CorpusError, match="given more than once") as err:
+        load_corpus([one, two, roundabout], EMPTY_STOPS, EMPTY_LEX)
+    assert not isinstance(err.value, DuplicateDocumentError)
+    assert str(roundabout) in str(err.value)
+
+
 def test_load_corpus_no_documents(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -85,8 +85,7 @@ def test_load_synonym_table_drops_singletons():
 
 def test_load_synonym_table_lowest_row_wins():
     table = load_synonym_table(io.StringIO("A0,A1\nA1,C0\n"))
-    assert table.index["a1"] == 0
-    assert table.row_of("a1").terms == ("a0", "a1")
+    assert synonym_candidates(table, "a1") == ("a0",)
 
 
 def test_load_synonym_table_trims_spaces_and_dedupes():
@@ -140,3 +139,31 @@ def test_load_stopwords_bad_utf8_names_byte_offset(tmp_path):
     path.write_bytes(b"ok\n\xff\n")
     with pytest.raises(UnicodeDecodeError):
         load_stopwords(path)
+
+
+def _after_bom(kind, text, tmp_path):
+    """``text`` behind a UTF-8 byte-order mark, as a file path or as a stream."""
+    if kind == "path":
+        path = tmp_path / "lexicon.txt"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        return path
+    return io.StringIO("\ufeff" + text)
+
+
+@pytest.mark.parametrize("kind", ["path", "stream"])
+def test_load_stopwords_ignores_a_leading_bom(kind, tmp_path):
+    stops = load_stopwords(_after_bom(kind, "and\nthe\n", tmp_path))
+    assert stops.words == frozenset({"and", "the"})
+
+
+@pytest.mark.parametrize("kind", ["path", "stream"])
+def test_load_stem_lexicon_ignores_a_leading_bom(kind, tmp_path):
+    lex = load_stem_lexicon(_after_bom(kind, "cars\tcar\n", tmp_path))
+    assert lex.entries == {"cars": "car"}
+
+
+@pytest.mark.parametrize("kind", ["path", "stream"])
+def test_load_synonym_table_ignores_a_leading_bom(kind, tmp_path):
+    table = load_synonym_table(_after_bom(kind, "a0,a1\n", tmp_path))
+    assert synonym_candidates(table, "a0") == ("a1",)
+    assert synonym_candidates(table, "a1") == ("a0",)

@@ -80,17 +80,6 @@ def test_stem_identity_fallback():
     assert stem("x", StemLexicon({})) == "x"
 
 
-def test_stem_rule_hook_handles_misses():
-    lex = StemLexicon({"covered": "cover"})
-
-    def chop_s(token):
-        return token[:-1] if token.endswith("s") else None
-
-    assert stem("covered", lex, chop_s) == "cover"  # lexicon wins
-    assert stem("wagons", lex, chop_s) == "wagon"  # hook handles the miss
-    assert stem("barn", lex, chop_s) == "barn"  # identity fallback
-
-
 def test_preprocess_order_and_counts():
     doc = RawDocument(id="q", text="Ал мұнай мұнай.")
     out = preprocess(doc, StopwordList(frozenset({"ал"})), StemLexicon({}))
