@@ -132,7 +132,7 @@ def _parse_measures(value) -> list[str]:
 
 def _load_config_file(path) -> dict:
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:

@@ -32,7 +32,7 @@ from .weighting import (
     ModifiedIdf,
     Smoothing,
     WeightingConfig,
-    build_vocabulary,
+    reached_terms,
     vectorize,
 )
 
@@ -209,24 +209,32 @@ def anchor_matrix(
 
     A term's weight depends on the term, the document and the weighting,
     never on the pair; the pair only keeps the union of the two documents'
-    terms. So the anchor's traditional vector and its modified weights over
-    its own terms are built once, and each target adds only the target's
-    terms that the anchor reaches through a synonym.
+    terms. Outside its own terms, a document can carry a modified weight
+    only for the terms it reaches through a synonym, which the table's
+    inversion (``SynonymTable.reached_by``) lists. So the anchor's
+    traditional vector and its modified weights over its own terms are
+    built once, and each side of a pair adds only the other side's terms
+    that it reaches; no synonym row is walked for a term that resolves to
+    zero. Scores are bit-identical to weighting both documents over the
+    pair union.
     """
     if not target_ids:
         raise CorpusError(f"anchor {anchor_id!r} has no targets to compare against")
     anchor = corpus.document(anchor_id)
     traditional, modified = config.weightings(corpus)
+    table = modified.synonym_table
     anchor_terms = tuple(anchor.counts)
     a_trad = vectorize(anchor, corpus, anchor_terms, traditional)
     a_own = vectorize(anchor, corpus, anchor_terms, modified).weights
+    a_reached = reached_terms(anchor, table)
     rows: list[PairResult] = []
     for target_id in target_ids:
         target = corpus.document(target_id)
         b_trad = vectorize(target, corpus, tuple(target.counts), traditional)
-        b_mod = vectorize(target, corpus, build_vocabulary(anchor, target), modified)
-        target_only = tuple(t for t in target.counts if t not in anchor.counts)
-        reached = vectorize(anchor, corpus, target_only, modified).weights
+        b_reached = [t for t in reached_terms(target, table) if t in anchor.counts]
+        b_mod = vectorize(target, corpus, (*target.counts, *b_reached), modified)
+        a_to_target = [t for t in a_reached if t in target.counts]
+        reached = vectorize(anchor, corpus, a_to_target, modified).weights
         a_mod = DocumentVector(doc_id=anchor_id, weights={**a_own, **reached})
         for measure in measures:
             traditional_value = similarity(measure, a_trad, b_trad).value

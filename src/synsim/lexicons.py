@@ -62,12 +62,19 @@ class SynonymTable:
 
     ``candidates`` maps a term to the other terms of the lowest row that
     holds it, in row order; a term matches anywhere in a row, not only at
-    position 0. Tables compare by value (the candidates derive from the
-    rows) and are hashable, so a table can key a memo.
+    position 0. ``reached_by`` inverts ``candidates``: it maps a term to
+    the terms whose candidates hold it, so a document containing the term
+    resolves a positive count for each of them. With rows ``a,b`` and
+    ``b,c`` a document holding ``b`` reaches ``a`` and ``c``, while one
+    holding ``c`` reaches nothing (``b`` takes its candidates from the
+    first row). Tables compare by value (the candidates and their
+    inversion derive from the rows) and are hashable, so a table can key a
+    memo.
     """
 
     rows: tuple[SynonymRow, ...] = ()
     candidates: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    reached_by: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     @classmethod
     def empty(cls) -> "SynonymTable":
@@ -140,7 +147,8 @@ def load_synonym_table(source, lexicon: StemLexicon | None = None) -> SynonymTab
     Each line is split on commas; every word is normalized and stemmed with
     the given lexicon, then deduplicated keeping first occurrence. Rows left
     with fewer than two distinct terms can never fire and are dropped. A
-    term in several rows takes its candidates from the lowest retained row.
+    term in several rows takes its candidates from the lowest retained row,
+    and ``reached_by`` is inverted from those candidates, not from the rows.
     """
     lexicon = lexicon or StemLexicon()
     rows: list[SynonymRow] = []
@@ -160,4 +168,12 @@ def load_synonym_table(source, lexicon: StemLexicon | None = None) -> SynonymTab
             if term not in candidates:
                 candidates[term] = tuple(t for t in terms if t != term)
         rows.append(SynonymRow(terms=tuple(terms)))
-    return SynonymTable(rows=tuple(rows), candidates=candidates)
+    reached_by: dict[str, list[str]] = {}
+    for term, synonyms in candidates.items():
+        for synonym in synonyms:
+            reached_by.setdefault(synonym, []).append(term)
+    return SynonymTable(
+        rows=tuple(rows),
+        candidates=candidates,
+        reached_by={s: tuple(terms) for s, terms in reached_by.items()},
+    )

@@ -193,6 +193,19 @@ def resolve_count(
     return ResolvedCount(count=0)
 
 
+def reached_terms(doc: ProcessedDocument, table: SynonymTable) -> set[str]:
+    """Terms outside ``doc`` whose resolved count in ``doc`` is positive.
+
+    These are the terms whose synonym candidates hold a term of ``doc``,
+    read from the table's inversion ``reached_by``; every other term
+    outside ``doc`` resolves to zero there.
+    """
+    counts = doc.counts
+    return {
+        t for s in counts for t in table.reached_by.get(s, ()) if t not in counts
+    }
+
+
 def tf(count: int, total_tokens: int) -> float:
     """Term frequency: count over document size, 0 for an empty document."""
     if total_tokens == 0:

@@ -379,6 +379,18 @@ def test_config_file_invalid_json_exits_64(tmp_path, capsys):
     assert code == 64
 
 
+def test_config_file_ignores_a_leading_bom(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'\xef\xbb\xbf{"mode": "traditional"}')
+    pair = [str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT)]
+    _, want, _ = run(capsys, "sim", *pair, *FIXTURE_FLAGS, "--mode", "traditional")
+    _, both, _ = run(capsys, "sim", *pair, *FIXTURE_FLAGS)
+    code, out, err = run(capsys, "sim", *pair, *FIXTURE_FLAGS, "--config", str(config))
+    assert (code, err) == (0, "")
+    assert out == want
+    assert want != both  # the file's mode took effect
+
+
 def test_out_flag_writes_file_and_not_stdout(tmp_path, capsys):
     out_path = tmp_path / "report.csv"
     code, out, _ = run(

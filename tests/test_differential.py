@@ -1,7 +1,8 @@
 """Differential tests: fast paths against plain references kept here.
 
-``compare_pair`` and ``anchor_matrix`` weight each document once per
-corpus and setting and restrict to the pair afterwards. The reference below
+``compare_pair`` and ``anchor_matrix`` weight the anchor's own terms once
+and, per pair, resolve only the other side's terms that each side reaches
+through the inverted synonym table. The reference below
 is the direct reading of the scheme: vectorize both documents over the
 pair's term union under both weightings, on a corpus of its own (so it
 shares no idf memo with the scorer under test), then run each measure.
@@ -88,6 +89,18 @@ comparisons = st.builds(
 def build_corpus(term_lists, table):
     docs = [ProcessedDocument.from_terms(f"d{i}", terms) for i, terms in enumerate(term_lists)]
     return Corpus(docs, synonym_table=table)
+
+
+def test_anchor_matrix_skips_a_reached_term_absent_from_the_corpus():
+    # d0 reaches z through the row a,z, but z occurs in no document, so its
+    # raw df is 0 and weighting it under smoothing "none" would raise. The
+    # pair never holds z, so the scorer must not weight it.
+    table = load_synonym_table(io.StringIO("a,z\n"))
+    corpus = build_corpus([["a"], ["b"]], table)
+    config = ComparisonConfig(smoothing="none", modified_idf="raw")
+    report = anchor_matrix(corpus, "d0", ["d1"], MEASURES, config)
+    for row in report.rows:
+        assert hexed(row) == reference_scores(corpus, "d0", "d1", row.measure, config)
 
 
 @settings(max_examples=150, deadline=None)

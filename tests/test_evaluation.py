@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import synsim.weighting
 from synsim import (
     ComparisonConfig,
     ConfigError,
@@ -198,6 +199,24 @@ def test_anchor_matrix_averages_match_recomputation(fixture_corpus):
         assert averages.delta == pytest.approx(
             sum(r.delta for r in group) / 9, abs=1e-9
         )
+
+
+def test_anchor_matrix_resolves_only_terms_that_hit(fixture_corpus, monkeypatch):
+    # Each side of a pair resolves only the other side's terms that it
+    # reaches through a synonym, so no synonym row is walked in vain.
+    results = []
+    resolve_count = synsim.weighting.resolve_count
+
+    def recorded(*args, **kwargs):
+        result = resolve_count(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(synsim.weighting, "resolve_count", recorded)
+    targets = [i for i in fixture_corpus.ids if i != "a01"]
+    anchor_matrix(fixture_corpus, "a01", targets)
+    assert results
+    assert all(r.count > 0 and r.matched_term is not None for r in results)
 
 
 def test_anchor_matrix_no_targets(planted):

@@ -88,6 +88,14 @@ def test_load_synonym_table_lowest_row_wins():
     assert synonym_candidates(table, "a1") == ("a0",)
 
 
+def test_reached_by_inverts_the_lowest_row_candidates():
+    # b takes its candidates from the first row, so c is reached from b
+    # but nothing is reached from c.
+    table = load_synonym_table(io.StringIO("a,b\nb,c\n"))
+    assert table.reached_by == {"a": ("b",), "b": ("a", "c")}
+    assert SynonymTable.empty().reached_by == {}
+
+
 def test_load_synonym_table_trims_spaces_and_dedupes():
     table = load_synonym_table(io.StringIO("tram , streetcar, tram\n"))
     assert table.rows[0].terms == ("tram", "streetcar")
