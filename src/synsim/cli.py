@@ -54,13 +54,9 @@ PATH_KEYS = ("stopwords", "stems", "synonyms", "out")
 CONFIG_FILE_KEYS = (*PATH_KEYS, "mode", "measures", "smoothing", "format", "modified_idf")
 
 
-class UsageError(ConfigError):
-    """Raised for bad flags so main() can map them to exit code 64."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,17 +305,12 @@ def cmd_vector(args: argparse.Namespace) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"synsim: error: {exc}", file=sys.stderr)
-        return 64
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         resolve_config(args)
         _emit(args, args.run(args))
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except ConfigError as exc:
         print(f"synsim: error: {exc}", file=sys.stderr)
         return 64

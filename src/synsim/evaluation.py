@@ -32,6 +32,7 @@ from .weighting import (
     ModifiedIdf,
     Smoothing,
     WeightingConfig,
+    _sum_left_to_right,
     reached_terms,
     vectorize,
 )
@@ -44,8 +45,8 @@ class ComparisonConfig:
     """Settings shared by every pair comparison in a report.
 
     ``synonym_table`` of None means "use the table the corpus was built
-    with"; an explicitly empty table degrades the modified scheme to the
-    traditional one.
+    with", which :meth:`weightings` alone decides; an explicitly empty
+    table degrades the modified scheme to the traditional one.
     """
 
     smoothing: Smoothing = "plus_one_when_zero"
@@ -58,7 +59,6 @@ class ComparisonConfig:
         Built, and so checked, once per ``compare_pair`` or
         ``anchor_matrix`` call, not once per pair.
         """
-        # An explicitly empty table is falsy, so test against None.
         table = self.synonym_table
         if table is None:
             table = corpus.synonym_table
@@ -254,9 +254,9 @@ def anchor_matrix(
         group = [r for r in rows if r.measure == measure]
         n = len(group)
         averages[measure] = MeasureAverages(
-            traditional=sum(r.traditional for r in group) / n,
-            modified=sum(r.modified for r in group) / n,
-            delta=sum(r.delta for r in group) / n,
+            traditional=_sum_left_to_right(r.traditional for r in group) / n,
+            modified=_sum_left_to_right(r.modified for r in group) / n,
+            delta=_sum_left_to_right(r.delta for r in group) / n,
         )
     return ReportTable(anchor_id=anchor_id, rows=tuple(rows), averages=averages)
 

@@ -15,6 +15,7 @@ Loaded structures are immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -58,33 +59,43 @@ class SynonymRow:
 
 @dataclass(frozen=True)
 class SynonymTable:
-    """Ordered synonym rows plus each term's synonym candidates.
+    """Ordered synonym rows, the only field; the indexes derive from them.
 
-    ``candidates`` maps a term to the other terms of the lowest row that
-    holds it, in row order; a term matches anywhere in a row, not only at
-    position 0. ``reached_by`` inverts ``candidates``: it maps a term to
-    the terms whose candidates hold it, so a document containing the term
-    resolves a positive count for each of them. With rows ``a,b`` and
-    ``b,c`` a document holding ``b`` reaches ``a`` and ``c``, while one
-    holding ``c`` reaches nothing (``b`` takes its candidates from the
-    first row). Tables compare by value (the candidates and their
-    inversion derive from the rows) and are hashable, so a table can key a
-    memo.
+    ``candidates`` and ``reached_by`` are computed once, on first use, so a
+    table built by hand behaves like a loaded one. Tables compare by their
+    rows and are hashable, so a table can key a memo.
     """
 
     rows: tuple[SynonymRow, ...] = ()
-    candidates: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    reached_by: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     @classmethod
     def empty(cls) -> "SynonymTable":
         return cls()
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    @cached_property
+    def candidates(self) -> dict[str, tuple[str, ...]]:
+        """Each term's synonyms: the other terms, in order, of the lowest row holding it."""
+        candidates: dict[str, tuple[str, ...]] = {}
+        for row in self.rows:
+            for term in row.terms:
+                if term not in candidates:
+                    candidates[term] = tuple(t for t in row.terms if t != term)
+        return candidates
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.candidates
+    @cached_property
+    def reached_by(self) -> dict[str, tuple[str, ...]]:
+        """For each term, the terms whose ``candidates`` hold it.
+
+        A document containing the term resolves a positive count for each
+        of them. With rows ``a,b`` and ``b,c`` a document holding ``b``
+        reaches ``a`` and ``c``, while one holding ``c`` reaches nothing
+        (``b`` takes its candidates from the first row).
+        """
+        reached_by: dict[str, list[str]] = {}
+        for term, synonyms in self.candidates.items():
+            for synonym in synonyms:
+                reached_by.setdefault(synonym, []).append(term)
+        return {s: tuple(terms) for s, terms in reached_by.items()}
 
     def __hash__(self) -> int:
         # The first row keeps hashing O(1); tables sharing it fall back to ==.
@@ -146,13 +157,10 @@ def load_synonym_table(source, lexicon: StemLexicon | None = None) -> SynonymTab
 
     Each line is split on commas; every word is normalized and stemmed with
     the given lexicon, then deduplicated keeping first occurrence. Rows left
-    with fewer than two distinct terms can never fire and are dropped. A
-    term in several rows takes its candidates from the lowest retained row,
-    and ``reached_by`` is inverted from those candidates, not from the rows.
+    with fewer than two distinct terms can never fire and are dropped.
     """
     lexicon = lexicon or StemLexicon()
     rows: list[SynonymRow] = []
-    candidates: dict[str, tuple[str, ...]] = {}
     for _, line in _content_lines(source):
         words = [w.strip() for w in line.split(",")]
         terms: list[str] = []
@@ -164,16 +172,5 @@ def load_synonym_table(source, lexicon: StemLexicon | None = None) -> SynonymTab
                 terms.append(term)
         if len(terms) < 2:
             continue
-        for term in terms:
-            if term not in candidates:
-                candidates[term] = tuple(t for t in terms if t != term)
         rows.append(SynonymRow(terms=tuple(terms)))
-    reached_by: dict[str, list[str]] = {}
-    for term, synonyms in candidates.items():
-        for synonym in synonyms:
-            reached_by.setdefault(synonym, []).append(term)
-    return SynonymTable(
-        rows=tuple(rows),
-        candidates=candidates,
-        reached_by={s: tuple(terms) for s, terms in reached_by.items()},
-    )
+    return SynonymTable(rows=tuple(rows))

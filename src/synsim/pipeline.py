@@ -32,8 +32,9 @@ class RawDocument:
 class ProcessedDocument:
     """A document reduced to stemmed-term counts.
 
-    ``total_tokens`` is the number of tokens that survived filtering, which
-    equals the sum of all counts; it is the term-frequency denominator.
+    Every count is at least 1. ``total_tokens`` is the number of tokens that
+    survived filtering, which equals the sum of all counts; it is the
+    term-frequency denominator.
     """
 
     id: str
@@ -41,6 +42,9 @@ class ProcessedDocument:
     total_tokens: int = 0
 
     def __post_init__(self):
+        if self.counts and min(self.counts.values()) < 1:
+            term = next(t for t, c in self.counts.items() if c < 1)
+            raise ValueError(f"document {self.id!r}: term {term!r} has a count below 1")
         if self.total_tokens != sum(self.counts.values()):
             raise ValueError(
                 f"document {self.id!r}: total_tokens={self.total_tokens} "

@@ -6,8 +6,8 @@ a zero vector is defined as 0 (no evidence of similarity), which keeps the
 functions total on empty documents.
 
 Functions accept either a :class:`~synsim.weighting.DocumentVector` or a
-plain term-to-weight mapping. Accumulation always runs in sorted term
-order, so results are reproducible and exactly symmetric.
+plain term-to-weight mapping. Accumulation always runs left to right in
+sorted term order, so results are reproducible and exactly symmetric.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import check_choice
-from .weighting import DocumentVector
+from .weighting import DocumentVector, _sum_left_to_right
 
 MEASURES = ("cosine", "jaccard", "dice")
 
@@ -48,7 +48,7 @@ def dot(x, y) -> float:
     unchanged, so summing the intersection equals summing the union.
     """
     xw, yw = _vector(x).weights, _vector(y).weights
-    return sum((xw[t] * yw[t] for t in sorted(xw.keys() & yw.keys())), 0.0)
+    return _sum_left_to_right(xw[t] * yw[t] for t in sorted(xw.keys() & yw.keys()))
 
 
 def cosine(x, y) -> float:

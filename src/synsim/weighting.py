@@ -159,15 +159,13 @@ class Corpus:
         """Term-to-idf memo of one weighting setting, filled by :func:`vectorize`.
 
         Traditional idf ignores the synonym table, so its memo is shared
-        by every table. A modified memo is keyed by the table itself (None
-        meaning the corpus's own): equal tables give equal idf and share
-        it, and an explicit table is never served values computed with a
-        different one. A failed idf is not stored, so it fails again.
+        by every table. A modified memo is keyed by the table itself:
+        equal tables give equal idf and share it, and a table is never
+        served values computed with a different one. A failed idf is not
+        stored, so it fails again.
         """
         if mode == "traditional":
             table = None
-        elif table is None:
-            table = self.synonym_table
         return self._idf_memos.setdefault((mode, smoothing, table), {})
 
 
@@ -200,10 +198,8 @@ def reached_terms(doc: ProcessedDocument, table: SynonymTable) -> set[str]:
     read from the table's inversion ``reached_by``; every other term
     outside ``doc`` resolves to zero there.
     """
-    counts = doc.counts
-    return {
-        t for s in counts for t in table.reached_by.get(s, ()) if t not in counts
-    }
+    counts, reached_by = doc.counts, table.reached_by
+    return {t for s in counts for t in reached_by.get(s, ()) if t not in counts}
 
 
 def tf(count: int, total_tokens: int) -> float:
@@ -223,15 +219,15 @@ def document_frequency(
 
     Traditional mode counts literal occurrences. Modified mode counts a
     document when the term's resolved count there is positive, i.e. when
-    the document contains the term or any synonym from its row; this never
-    shrinks the traditional value.
+    the document contains the term or any synonym from its row in
+    ``table``, which must be given; this never shrinks the traditional value.
     """
     if mode == "traditional":
         return len(corpus.documents_with(term))
     if mode != "modified":
         check_choice("mode", mode, MODES)
     if table is None:
-        table = corpus.synonym_table
+        raise ConfigError("mode 'modified' requires a synonym table")
     matching = set(corpus.documents_with(term))
     for candidate in synonym_candidates(table, term):
         matching |= corpus.documents_with(candidate)
@@ -247,9 +243,9 @@ def idf(
 ) -> float:
     """Inverse document frequency, log base 2.
 
-    The denominator is the document frequency; only when it is zero does
-    ``plus_one_when_zero`` substitute one (always adding one would push
-    corpus-wide terms to negative weight).
+    The denominator is the document frequency (modified mode needs
+    ``table``); only when it is zero does ``plus_one_when_zero`` substitute
+    one (always adding one would push corpus-wide terms to negative weight).
     """
     df = document_frequency(corpus, term, mode, table)
     if df == 0:
@@ -258,6 +254,15 @@ def idf(
         check_choice("smoothing", smoothing, SMOOTHINGS)
         df = 1
     return math.log2(len(corpus) / df)
+
+
+def _sum_left_to_right(values: Iterable[float]) -> float:
+    # Built-in sum() of floats is compensated since Python 3.12; adding left
+    # to right keeps every score the same bits on every Python version.
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def build_vocabulary(a: ProcessedDocument, b: ProcessedDocument) -> tuple[str, ...]:
@@ -279,7 +284,7 @@ class DocumentVector:
     def norm_squared(self) -> float:
         """Sum of the squared weights in sorted term order, computed once."""
         w = self.weights
-        return sum((w[t] * w[t] for t in sorted(w)), 0.0)
+        return _sum_left_to_right(w[t] * w[t] for t in sorted(w))
 
 
 def vectorize(

@@ -1,12 +1,14 @@
 """Lexicon file loading: stopwords, stem table, synonym table."""
 
 import io
+from dataclasses import fields
 
 import pytest
 
 from synsim import (
     LexiconFormatError,
     StemLexicon,
+    SynonymRow,
     SynonymTable,
     load_stem_lexicon,
     load_stopwords,
@@ -94,6 +96,18 @@ def test_reached_by_inverts_the_lowest_row_candidates():
     table = load_synonym_table(io.StringIO("a,b\nb,c\n"))
     assert table.reached_by == {"a": ("b",), "b": ("a", "c")}
     assert SynonymTable.empty().reached_by == {}
+
+
+def test_hand_built_table_equals_the_loaded_one():
+    # The indexes derive from the rows, so building rows by hand loses none.
+    built = SynonymTable(rows=(SynonymRow(("a", "b")), SynonymRow(("b", "c"))))
+    loaded = load_synonym_table(io.StringIO("a,b\nb,c\n"))
+    assert [f.name for f in fields(SynonymTable)] == ["rows"]
+    assert built == loaded
+    for term in ("a", "b", "c", "z"):
+        assert synonym_candidates(built, term) == synonym_candidates(loaded, term)
+    assert synonym_candidates(built, "b") == ("a",)
+    assert built.reached_by == loaded.reached_by == {"a": ("b",), "b": ("a", "c")}
 
 
 def test_load_synonym_table_trims_spaces_and_dedupes():

@@ -120,6 +120,15 @@ def test_processed_document_rejects_bad_total():
         ProcessedDocument(id="d", counts={"a": 2}, total_tokens=3)
 
 
+@pytest.mark.parametrize(
+    "counts, total_tokens", [({"x": 0, "y": 2}, 2), ({"x": -1, "y": 1}, 0)]
+)
+def test_processed_document_rejects_a_count_below_one(counts, total_tokens):
+    # A stored zero would count the document into the term's df.
+    with pytest.raises(ValueError, match="document 'd': term 'x'"):
+        ProcessedDocument(id="d", counts=counts, total_tokens=total_tokens)
+
+
 def test_count_conservation_over_random_texts():
     """total_tokens always equals the sum of counts, for arbitrary junk."""
     rng = np.random.default_rng(7)

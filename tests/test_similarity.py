@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from synsim import ConfigError, cosine, dice, dot, jaccard, similarity
+from synsim import ConfigError, DocumentVector, cosine, dice, dot, jaccard, similarity
 
 
 def vec(values) -> dict:
@@ -37,6 +37,20 @@ def test_dot_of_empty_vectors_is_float():
     assert type(dot({}, {"a": 1.0})) is float
 
 
+def added_in_order(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_dot_and_norm_add_left_to_right():
+    # A compensated sum, such as built-in sum() since Python 3.12, would
+    # give 1.0000000000000002 for both.
+    assert dot({"a": 1.0, "b": 1e-16, "c": 1e-16}, {"a": 1.0, "b": 1.0, "c": 1.0}) == 1.0
+    assert DocumentVector("d", {"a": 1.0, "b": 1e-8, "c": 1e-8}).norm_squared == 1.0
+
+
 def test_dot_and_jaccard_match_union_sums_bitwise():
     # Summing the key intersection equals summing the union: a term stored
     # on one side only adds +0.0.
@@ -45,10 +59,12 @@ def test_dot_and_jaccard_match_union_sums_bitwise():
         x, y = random_pair(rng)
         x = {t: w for t, w in x.items() if w}
         y = {t: w for t, w in y.items() if w and rng.random() < 0.8}
-        union = sum(x.get(t, 0.0) * y.get(t, 0.0) for t in sorted(set(x) | set(y)))
+        union = added_in_order(
+            x.get(t, 0.0) * y.get(t, 0.0) for t in sorted(set(x) | set(y))
+        )
         assert dot(x, y).hex() == float(union).hex()
-        xx = sum(x[t] * x[t] for t in sorted(x))
-        yy = sum(y[t] * y[t] for t in sorted(y))
+        xx = added_in_order(x[t] * x[t] for t in sorted(x))
+        yy = added_in_order(y[t] * y[t] for t in sorted(y))
         s = dot(x, y)
         if xx + yy - s:
             assert jaccard(x, y).hex() == min(s / (xx + yy - s), 1.0).hex()

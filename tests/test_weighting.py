@@ -100,6 +100,13 @@ class TestDocumentFrequency:
         assert document_frequency(corpus, "a0", "traditional") == 1
         assert document_frequency(corpus, "a0", "modified", table) == 2
 
+    def test_modified_without_a_table_raises(self, toy_corpus):
+        # The corpus's own table is not a silent default here.
+        with pytest.raises(ConfigError, match="requires a synonym table"):
+            document_frequency(toy_corpus, "t1", "modified")
+        with pytest.raises(ConfigError, match="requires a synonym table"):
+            idf(toy_corpus, "t1", "modified")
+
     def test_modified_never_below_traditional(self, fixture_corpus):
         table = fixture_corpus.synonym_table
         for term in fixture_corpus.vocabulary:
@@ -272,12 +279,9 @@ class TestVectorize:
         assert toy_corpus.idf_memo("modified", "none", table_from("t1,t2\n")) is memo
         assert toy_corpus.idf_memo("modified", "none", SynonymTable.empty()) is not memo
         assert toy_corpus.idf_memo("modified", "plus_one_when_zero", table) is not memo
-        # Traditional idf ignores the table, and None means the corpus's own.
+        # Traditional idf ignores the table.
         assert toy_corpus.idf_memo("traditional", "none", table) is toy_corpus.idf_memo(
             "traditional", "none", None
-        )
-        assert toy_corpus.idf_memo("modified", "none", None) is toy_corpus.idf_memo(
-            "modified", "none", toy_corpus.synonym_table
         )
 
 
