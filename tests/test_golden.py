@@ -29,6 +29,7 @@ CASES = {
     "matrix.json": ["matrix", str(TRANSIT), "a01", "--format", "json"],
     "matrix.csv": ["matrix", str(TRANSIT), "a01", "--format", "csv"],
     "vector.txt": ["vector", str(TRANSIT), "a01"],
+    "preprocess.txt": ["preprocess", str(TRANSIT / "a01.txt")],
     "sim.txt": ["sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT)],
     "sim-traditional.txt": [
         "sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT),
