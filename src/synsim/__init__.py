@@ -39,7 +39,6 @@ from .lexicons import (
     load_stem_lexicon,
     load_stopwords,
     load_synonym_table,
-    synonym_candidates,
 )
 from .pipeline import (
     ProcessedDocument,
@@ -48,7 +47,6 @@ from .pipeline import (
     normalize,
     preprocess,
     stem,
-    term_count,
     tokenize,
 )
 from .similarity import (
@@ -125,8 +123,6 @@ __all__ = [
     "resolve_count",
     "similarity",
     "stem",
-    "synonym_candidates",
-    "term_count",
     "tf",
     "tokenize",
     "vectorize",

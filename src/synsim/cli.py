@@ -35,7 +35,7 @@ from .lexicons import (
     load_stopwords,
     load_synonym_table,
 )
-from .pipeline import RawDocument, normalize, preprocess, stem, tokenize
+from .pipeline import RawDocument, normalize, preprocess, tokenize
 from .similarity import MEASURES
 from .weighting import MODES as SCHEMES
 from .weighting import MODIFIED_IDFS, SMOOTHINGS, Corpus, vectorize
@@ -274,15 +274,13 @@ def cmd_preprocess(args: argparse.Namespace) -> str:
     path = Path(args.file)
     text = _read_input(Path.read_text, path, "utf-8")
     stopwords, lexicon = _load_lexicons(args)
-    doc = RawDocument(id=path.stem, text=text)
+    # Whitespace is never a letter, so every token of the text keys the memo.
+    terms: dict[str, str | None] = {}
+    processed = preprocess(RawDocument(id=path.stem, text=text), stopwords, lexicon, terms)
     lines = []
     for token in tokenize(text):
-        norm = normalize(token)
-        if norm in stopwords:
-            lines.append(f"{token}\t{norm}\t(stopword)")
-        else:
-            lines.append(f"{token}\t{norm}\t{stem(norm, lexicon)}")
-    processed = preprocess(doc, stopwords, lexicon)
+        term = terms[token]
+        lines.append(f"{token}\t{normalize(token)}\t{'(stopword)' if term is None else term}")
     lines.append("")
     lines.append("counts:")
     for term in sorted(processed.counts):

@@ -235,7 +235,7 @@ def anchor_matrix(
         b_mod = vectorize(target, corpus, (*target.counts, *b_reached), modified)
         a_to_target = [t for t in a_reached if t in target.counts]
         reached = vectorize(anchor, corpus, a_to_target, modified).weights
-        a_mod = DocumentVector(doc_id=anchor_id, weights={**a_own, **reached})
+        a_mod = DocumentVector({**a_own, **reached})
         for measure in measures:
             traditional_value = similarity(measure, a_trad, b_trad).value
             modified_value = similarity(measure, a_mod, b_mod).value

@@ -32,22 +32,12 @@ class StopwordList:
     def __contains__(self, word: str) -> bool:
         return word in self.words
 
-    def __len__(self) -> int:
-        return len(self.words)
-
 
 @dataclass(frozen=True)
 class StemLexicon:
     """Mapping from normalized surface form to its stem."""
 
     entries: dict[str, str] = field(default_factory=dict)
-
-    def lookup(self, surface: str) -> str | None:
-        """The stem for ``surface``, or None when the form is not listed."""
-        return self.entries.get(surface)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -100,14 +90,6 @@ class SynonymTable:
     def __hash__(self) -> int:
         # The first row keeps hashing O(1); tables sharing it fall back to ==.
         return hash(self.rows[:1])
-
-
-def synonym_candidates(table: SynonymTable, term: str) -> tuple[str, ...]:
-    """Synonyms to try for ``term``, in row position order, term excluded.
-
-    Empty when the term occurs in no row.
-    """
-    return table.candidates.get(term, ())
 
 
 def _open_lines(source) -> Iterator[str]:

@@ -90,7 +90,7 @@ def filter_stopwords(tokens: Iterable[str], stopwords) -> list[str]:
 
 def stem(token: str, lexicon: "StemLexicon") -> str:
     """Reduce a normalized token to its stem: its lexicon entry, else the token unchanged."""
-    mapped = lexicon.lookup(token)
+    mapped = lexicon.entries.get(token)
     return token if mapped is None else mapped
 
 
@@ -126,8 +126,3 @@ def preprocess(
                 counts[term] = counts.get(term, 0) + n
                 total += n
     return ProcessedDocument(id=doc.id, counts=counts, total_tokens=total)
-
-
-def term_count(doc: ProcessedDocument, term: str) -> int:
-    """Occurrences of ``term`` in ``doc`` (0 when absent)."""
-    return doc.counts.get(term, 0)

@@ -32,7 +32,7 @@ class SimilarityScore:
 def _vector(v) -> DocumentVector:
     if isinstance(v, DocumentVector):
         return v
-    return DocumentVector(doc_id="", weights=v)
+    return DocumentVector(weights=v)
 
 
 def _cap(value: float) -> float:

@@ -37,8 +37,8 @@ from .errors import (
     ZeroDocumentFrequencyError,
     check_choice,
 )
-from .lexicons import SynonymTable, synonym_candidates
-from .pipeline import ProcessedDocument, term_count
+from .lexicons import SynonymTable
+from .pipeline import ProcessedDocument
 
 Mode = Literal["traditional", "modified"]
 Smoothing = Literal["plus_one_when_zero", "none"]
@@ -132,9 +132,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.docs)
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._by_id
-
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(d.id for d in self.docs)
@@ -176,18 +173,20 @@ def resolve_count(
 ) -> ResolvedCount:
     """Occurrence count of ``term`` in ``doc``, falling back to synonyms.
 
-    A positive raw count short-circuits; otherwise the term's synonym row
-    is tried in position order and the first synonym with a positive count
-    wins. No synonym row, or no synonym present, yields zero.
+    A positive raw count short-circuits; otherwise the term's candidates in
+    ``table`` are tried in row position order and the first with a positive
+    count wins. A term in no row, or with no candidate present, yields zero.
+    ``table`` is required, as in modified :func:`document_frequency`.
     """
-    own = term_count(doc, term)
+    if table is None:
+        raise ConfigError("mode 'modified' requires a synonym table")
+    own = doc.counts.get(term, 0)
     if own > 0:
         return ResolvedCount(count=own)
-    if table is not None:
-        for candidate in synonym_candidates(table, term):
-            count = term_count(doc, candidate)
-            if count > 0:
-                return ResolvedCount(count=count, matched_term=candidate)
+    for candidate in table.candidates.get(term, ()):
+        count = doc.counts.get(candidate, 0)
+        if count > 0:
+            return ResolvedCount(count=count, matched_term=candidate)
     return ResolvedCount(count=0)
 
 
@@ -229,7 +228,7 @@ def document_frequency(
     if table is None:
         raise ConfigError("mode 'modified' requires a synonym table")
     matching = set(corpus.documents_with(term))
-    for candidate in synonym_candidates(table, term):
+    for candidate in table.candidates.get(term, ()):
         matching |= corpus.documents_with(candidate)
     return len(matching)
 
@@ -245,13 +244,15 @@ def idf(
 
     The denominator is the document frequency (modified mode needs
     ``table``); only when it is zero does ``plus_one_when_zero`` substitute
-    one (always adding one would push corpus-wide terms to negative weight).
+    one (always adding one would push corpus-wide terms to negative weight),
+    while ``none`` raises. A term found in any corpus document has a df of
+    at least one, so smoothing matters only for terms absent from the corpus.
     """
+    check_choice("smoothing", smoothing, SMOOTHINGS)
     df = document_frequency(corpus, term, mode, table)
     if df == 0:
         if smoothing == "none":
             raise ZeroDocumentFrequencyError(term)
-        check_choice("smoothing", smoothing, SMOOTHINGS)
         df = 1
     return math.log2(len(corpus) / df)
 
@@ -272,9 +273,8 @@ def build_vocabulary(a: ProcessedDocument, b: ProcessedDocument) -> tuple[str, .
 
 @dataclass(frozen=True)
 class DocumentVector:
-    """Sparse TF-IDF vector; terms missing from ``weights`` are zero."""
+    """Sparse TF-IDF vector: ``weights``, its only field; missing terms are zero."""
 
-    doc_id: str
     weights: Mapping[str, float] = field(default_factory=dict)
 
     def get(self, term: str) -> float:
@@ -303,9 +303,10 @@ def vectorize(
     modified = config.mode == "modified"
     idf_mode = config.idf_mode
     idfs = corpus.idf_memo(idf_mode, config.smoothing, config.synonym_table)
+    counts = doc.counts
     weights: dict[str, float] = {}
     for term in vocabulary:
-        count = term_count(doc, term)
+        count = counts.get(term, 0)
         if count == 0 and modified:
             count = resolve_count(term, doc, config.synonym_table).count
         if count == 0:
@@ -318,4 +319,4 @@ def vectorize(
         weight = tf(count, doc.total_tokens) * term_idf
         if weight != 0.0:
             weights[term] = weight
-    return DocumentVector(doc_id=doc.id, weights=weights)
+    return DocumentVector(weights)

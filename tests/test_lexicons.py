@@ -13,7 +13,6 @@ from synsim import (
     load_stem_lexicon,
     load_stopwords,
     load_synonym_table,
-    synonym_candidates,
 )
 
 
@@ -42,13 +41,13 @@ def test_load_stopwords_skips_comments_and_blanks():
 
 def test_load_stem_lexicon_single_entry():
     lex = load_stem_lexicon(io.StringIO("кітаптар\tкітап\n"))
-    assert lex.lookup("кітаптар") == "кітап"
-    assert lex.lookup("кітап") is None
+    assert lex.entries.get("кітаптар") == "кітап"
+    assert lex.entries.get("кітап") is None
 
 
 def test_load_stem_lexicon_last_write_wins():
     lex = load_stem_lexicon(io.StringIO("a\tb\na\tc\n"))
-    assert lex.lookup("a") == "c"
+    assert lex.entries.get("a") == "c"
 
 
 def test_load_stem_lexicon_missing_tab_is_an_error():
@@ -87,7 +86,7 @@ def test_load_synonym_table_drops_singletons():
 
 def test_load_synonym_table_lowest_row_wins():
     table = load_synonym_table(io.StringIO("A0,A1\nA1,C0\n"))
-    assert synonym_candidates(table, "a1") == ("a0",)
+    assert table.candidates.get("a1", ()) == ("a0",)
 
 
 def test_reached_by_inverts_the_lowest_row_candidates():
@@ -105,8 +104,8 @@ def test_hand_built_table_equals_the_loaded_one():
     assert [f.name for f in fields(SynonymTable)] == ["rows"]
     assert built == loaded
     for term in ("a", "b", "c", "z"):
-        assert synonym_candidates(built, term) == synonym_candidates(loaded, term)
-    assert synonym_candidates(built, "b") == ("a",)
+        assert built.candidates.get(term, ()) == loaded.candidates.get(term, ())
+    assert built.candidates.get("b", ()) == ("a",)
     assert built.reached_by == loaded.reached_by == {"a": ("b",), "b": ("a", "c")}
 
 
@@ -123,24 +122,24 @@ def test_load_synonym_table_applies_stemming():
 
 def test_synonym_candidates_in_row_order():
     table = load_synonym_table(io.StringIO("A0,A1,A2\n"))
-    assert synonym_candidates(table, "a0") == ("a1", "a2")
+    assert table.candidates.get("a0", ()) == ("a1", "a2")
 
 
 def test_synonym_candidates_membership_anywhere():
     table = load_synonym_table(io.StringIO("A0,A1,A2\n"))
-    assert synonym_candidates(table, "a1") == ("a0", "a2")
+    assert table.candidates.get("a1", ()) == ("a0", "a2")
 
 
 def test_synonym_candidates_absent_term():
     table = load_synonym_table(io.StringIO("A0,A1\n"))
-    assert synonym_candidates(table, "z") == ()
+    assert table.candidates.get("z", ()) == ()
 
 
 def test_synonym_candidates_never_contain_the_term():
     table = load_synonym_table(io.StringIO("a,b,c\nd,e\n"))
     for row in table.rows:
         for term in row.terms:
-            cands = synonym_candidates(table, term)
+            cands = table.candidates.get(term, ())
             assert term not in cands
             assert len(cands) == len(row.terms) - 1
 
@@ -148,7 +147,7 @@ def test_synonym_candidates_never_contain_the_term():
 def test_empty_table():
     table = SynonymTable.empty()
     assert table.rows == ()
-    assert synonym_candidates(table, "x") == ()
+    assert table.candidates.get("x", ()) == ()
 
 
 def test_loads_are_deterministic():
@@ -187,5 +186,5 @@ def test_load_stem_lexicon_ignores_a_leading_bom(kind, tmp_path):
 @pytest.mark.parametrize("kind", ["path", "stream"])
 def test_load_synonym_table_ignores_a_leading_bom(kind, tmp_path):
     table = load_synonym_table(_after_bom(kind, "a0,a1\n", tmp_path))
-    assert synonym_candidates(table, "a0") == ("a1",)
-    assert synonym_candidates(table, "a1") == ("a0",)
+    assert table.candidates.get("a0", ()) == ("a1",)
+    assert table.candidates.get("a1", ()) == ("a0",)

@@ -12,7 +12,6 @@ from synsim import (
     normalize,
     preprocess,
     stem,
-    term_count,
     tokenize,
 )
 
@@ -107,12 +106,6 @@ def test_stopwords_filtered_before_stemming():
     lex = StemLexicon({"runs": "run"})
     out = preprocess(RawDocument(id="q", text="runs run"), stops, lex)
     assert out.counts == {"run": 1}
-
-
-def test_term_count():
-    doc = ProcessedDocument.from_terms("d", ["a", "a"])
-    assert term_count(doc, "a") == 2
-    assert term_count(doc, "b") == 0
 
 
 def test_processed_document_rejects_bad_total():

@@ -48,7 +48,7 @@ def test_dot_and_norm_add_left_to_right():
     # A compensated sum, such as built-in sum() since Python 3.12, would
     # give 1.0000000000000002 for both.
     assert dot({"a": 1.0, "b": 1e-16, "c": 1e-16}, {"a": 1.0, "b": 1.0, "c": 1.0}) == 1.0
-    assert DocumentVector("d", {"a": 1.0, "b": 1e-8, "c": 1e-8}).norm_squared == 1.0
+    assert DocumentVector({"a": 1.0, "b": 1e-8, "c": 1e-8}).norm_squared == 1.0
 
 
 def test_dot_and_jaccard_match_union_sums_bitwise():

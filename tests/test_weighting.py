@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from synsim import (
     ConfigError,
     Corpus,
+    DocumentVector,
     DuplicateDocumentError,
     EmptyCorpusError,
     ProcessedDocument,
@@ -58,6 +60,14 @@ class TestResolveCount:
         doc = make_doc("d", ["a1"] + ["a2"] * 5)
         resolved = resolve_count("a0", doc, table)
         assert (resolved.count, resolved.matched_term) == (1, "a1")
+
+    def test_missing_table_raises(self):
+        # As in modified document_frequency, None is not "no synonyms";
+        # a positive raw count does not excuse it either.
+        doc = make_doc("d", ["b"])
+        for term in ("a", "b"):
+            with pytest.raises(ConfigError, match="requires a synonym table"):
+                resolve_count(term, doc, None)
 
 
 class TestTf:
@@ -139,6 +149,12 @@ class TestIdf:
         with pytest.raises(ZeroDocumentFrequencyError) as err:
             idf(corpus, "ghost", "traditional", "none")
         assert "ghost" in str(err.value)
+
+    def test_unknown_smoothing_raises_whatever_the_df(self):
+        corpus = self.four_doc_corpus(df=2)
+        for term in ("shared", "ghost"):
+            with pytest.raises(ConfigError, match="unknown smoothing 'bogus'"):
+                idf(corpus, term, "traditional", "bogus")
 
     def test_nonincreasing_in_df(self):
         for size in (3, 5, 20):
@@ -295,3 +311,8 @@ def test_build_vocabulary_empty():
     a = make_doc("a", [])
     b = make_doc("b", [])
     assert build_vocabulary(a, b) == ()
+
+
+def test_document_vector_holds_only_weights():
+    assert [f.name for f in fields(DocumentVector)] == ["weights"]
+    assert DocumentVector({"a": 0.5}).get("a") == 0.5
