@@ -38,20 +38,19 @@ from .lexicons import (
 from .pipeline import RawDocument, normalize, preprocess, tokenize
 from .similarity import MEASURES
 from .weighting import MODES as SCHEMES
-from .weighting import MODIFIED_IDFS, SMOOTHINGS, Corpus, vectorize
+from .weighting import MODIFIED_IDFS, Corpus, vectorize
 
 MODES = (*SCHEMES, "both")
 
 DEFAULTS = {
     "mode": "both",
     "measures": list(MEASURES),
-    "smoothing": "plus_one_when_zero",
     "format": "json",
     "modified_idf": "resolved",
 }
 
 PATH_KEYS = ("stopwords", "stems", "synonyms", "out")
-CONFIG_FILE_KEYS = (*PATH_KEYS, "mode", "measures", "smoothing", "format", "modified_idf")
+CONFIG_FILE_KEYS = (*PATH_KEYS, "mode", "measures", "format", "modified_idf")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         "print both, and any mode but traditional requires --synonyms",
     )
     common.add_argument("--measures", help="comma-separated subset of cosine,jaccard,dice")
-    common.add_argument("--smoothing", choices=SMOOTHINGS)
     common.add_argument("--format", choices=FORMATS)
     common.add_argument("--out", help="write output to this file instead of stdout")
     common.add_argument("--config", help="JSON config file; flags override it")
@@ -151,8 +149,10 @@ def resolve_config(args: argparse.Namespace) -> None:
         # modified_idf has no flag. A null in the file stays null, and fails below.
         if getattr(args, key, None) is None:
             setattr(args, key, from_file.get(key, DEFAULTS.get(key)))
+    for key in ("config", *PATH_KEYS):
+        if getattr(args, key) == "":
+            raise ConfigError(f"{key} is an empty path")
     check_choice("mode", args.mode, MODES)
-    check_choice("smoothing", args.smoothing, SMOOTHINGS)
     check_choice("format", args.format, FORMATS)
     check_choice("modified_idf", args.modified_idf, MODIFIED_IDFS)
     args.measures = _parse_measures(args.measures)
@@ -211,13 +211,13 @@ def _document_id(path, corpus_dir) -> str:
     return path.stem
 
 
-def _comparison_config(args: argparse.Namespace) -> ComparisonConfig:
-    return ComparisonConfig(smoothing=args.smoothing, modified_idf=args.modified_idf)
-
-
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        try:
+            handle = open(args.out, "w", encoding="utf-8", newline="")
+        except ValueError as exc:  # a NUL or a lone surrogate, which a config file can hold
+            raise SynsimError(f"cannot write {args.out!r}: {exc}") from exc
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -232,7 +232,7 @@ def cmd_sim(args: argparse.Namespace) -> str:
     corpus, _ = _load_corpus(args, [args.corpus_dir])
     id_a = _document_id(args.file_a, args.corpus_dir)
     id_b = _document_id(args.file_b, args.corpus_dir)
-    table = anchor_matrix(corpus, id_a, [id_b], args.measures, _comparison_config(args))
+    table = anchor_matrix(corpus, id_a, [id_b], args.measures, ComparisonConfig(args.modified_idf))
     columns = _columns(args)
     if args.mode == "both":
         columns += ("delta",)
@@ -247,7 +247,7 @@ def _tables(args: argparse.Namespace, directories, anchor_id) -> list[ReportTabl
     """One table per directory: ``anchor_id`` against the directory's other documents."""
     corpus, directory_ids = _load_corpus(args, directories)
     corpus.document(anchor_id)
-    comparison = _comparison_config(args)
+    comparison = ComparisonConfig(args.modified_idf)
     return [
         anchor_matrix(
             corpus,
@@ -293,7 +293,7 @@ def cmd_vector(args: argparse.Namespace) -> str:
     corpus, _ = _load_corpus(args, [args.corpus_dir])
     doc = corpus.document(args.doc_id)
     vocabulary = tuple(sorted(doc.counts))
-    weightings = dict(zip(SCHEMES, _comparison_config(args).weightings(corpus)))
+    weightings = dict(zip(SCHEMES, ComparisonConfig(args.modified_idf).weightings(corpus)))
     vectors = {c: vectorize(doc, corpus, vocabulary, weightings[c]) for c in _columns(args)}
     lines = [
         " ".join([term, *(f"{c}={format_score(v.get(term))}" for c, v in vectors.items())])
@@ -309,12 +309,11 @@ def main(argv=None) -> int:
         _emit(args, args.run(args))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except ConfigError as exc:
-        print(f"synsim: error: {exc}", file=sys.stderr)
-        return 64
     except (SynsimError, OSError, UnicodeDecodeError) as exc:
-        print(f"synsim: error: {exc}", file=sys.stderr)
-        return 2
+        # One line, even where a path in the message holds a line break.
+        message = "\\n".join(str(exc).splitlines())
+        print(f"synsim: error: {message}", file=sys.stderr)
+        return 64 if isinstance(exc, ConfigError) else 2
     return 0
 
 

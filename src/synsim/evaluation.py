@@ -30,7 +30,6 @@ from .weighting import (
     Corpus,
     DocumentVector,
     ModifiedIdf,
-    Smoothing,
     WeightingConfig,
     _sum_left_to_right,
     reached_terms,
@@ -47,9 +46,11 @@ class ComparisonConfig:
     ``synonym_table`` of None means "use the table the corpus was built
     with", which :meth:`weightings` alone decides; an explicitly empty
     table degrades the modified scheme to the traditional one.
+
+    A pair is scored only over terms of its two documents, so every document
+    frequency is at least one and no setting for a zero one is needed.
     """
 
-    smoothing: Smoothing = "plus_one_when_zero"
     modified_idf: ModifiedIdf = "resolved"
     synonym_table: SynonymTable | None = None
 
@@ -63,10 +64,9 @@ class ComparisonConfig:
         if table is None:
             table = corpus.synonym_table
         return (
-            WeightingConfig(mode="traditional", smoothing=self.smoothing),
+            WeightingConfig(mode="traditional"),
             WeightingConfig(
                 mode="modified",
-                smoothing=self.smoothing,
                 synonym_table=table,
                 modified_idf=self.modified_idf,
             ),

@@ -1,12 +1,18 @@
 """End-to-end command-line behavior, including the exit-code contract."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synsim.evaluation
-from synsim.cli import main
+from synsim.cli import CONFIG_FILE_KEYS, PATH_KEYS, main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 TRANSIT = FIXTURES / "corpus" / "transit"
@@ -477,16 +483,13 @@ MATRIX = ["matrix", str(TRANSIT), "a01"]
 SIM = ["sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT)]
 
 # key: (command, the value the config file gives, the value the flag gives).
-# "{tmp}" stands for the test's temporary directory. A run with the file's
-# smoothing "bogus" fails, which is how that value shows: the fixture has
-# no term of document frequency zero, so "none" prints what the default does.
+# "{tmp}" stands for the test's temporary directory.
 PRECEDENCE = {
     "stopwords": (MATRIX, str(FIXTURES / "stopwords.txt"), "{tmp}/empty.txt"),
     "stems": (MATRIX, str(FIXTURES / "stems.tsv"), "{tmp}/empty.txt"),
     "synonyms": (MATRIX, str(FIXTURES / "synonyms.txt"), "{tmp}/empty.txt"),
     "mode": (SIM, "modified", "traditional"),
     "measures": (MATRIX, "dice", "cosine,jaccard"),
-    "smoothing": (MATRIX, "bogus", "none"),
     "format": (MATRIX, "csv", "json"),
     "out": (MATRIX, "{tmp}/out/first.txt", "{tmp}/out/second.txt"),
 }
@@ -525,7 +528,9 @@ def test_config_file_supplies_each_flagged_key_and_the_flag_wins(key, tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "entry", [{"modified_idf": "bogus"}, {"mode": None}], ids=["modified_idf-bogus", "mode-null"]
+    "entry",
+    [{"modified_idf": "bogus"}, {"mode": None}, {"smoothing": "plus_one_when_zero"}],
+    ids=["modified_idf-bogus", "mode-null", "smoothing-removed"],
 )
 def test_config_file_bad_value_exits_64(entry, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -534,3 +539,84 @@ def test_config_file_bad_value_exits_64(entry, tmp_path, capsys):
     assert code == 64
     assert out == ""
     assert next(iter(entry)) in err
+
+
+def test_removed_smoothing_flag_exits_64(capsys):
+    code, out, err = run(capsys, *MATRIX, *FIXTURE_FLAGS, "--smoothing", "none")
+    assert (code, out) == (64, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("synsim: error: unrecognized arguments: --smoothing")
+
+
+# The config path is given as a flag only; a config file naming another is refused.
+EMPTY_PATHS = [
+    ("config", "flag"),
+    *((key, form) for key in PATH_KEYS for form in ("flag", "file")),
+]
+
+
+@pytest.mark.parametrize(("key", "form"), EMPTY_PATHS, ids=[f"{k}-{f}" for k, f in EMPTY_PATHS])
+def test_empty_path_exits_64_and_names_the_setting(key, form, tmp_path, capsys):
+    flags = dict(zip(FIXTURE_FLAGS[::2], FIXTURE_FLAGS[1::2]))
+    flags["--mode"] = "traditional"  # so an empty --synonyms is not merely required
+    if form == "flag":
+        flags[f"--{key}"] = ""
+    else:
+        flags.pop(f"--{key}", None)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: ""}), encoding="utf-8")
+        flags["--config"] = str(config)
+    code, out, err = run(capsys, *MATRIX, *(item for pair in flags.items() for item in pair))
+    assert (code, out) == (64, "")
+    assert err == f"synsim: error: {key} is an empty path\n"
+
+
+# Any code point, lone surrogates included: a JSON file can hold what argv cannot.
+TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from("\n\r\x00\ud800\u2028"))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=4,
+)
+# Values each key accepts. Each key a drawn file does not pick as wild takes
+# one, so most runs get past the config file to the lexicons, the corpus and
+# the output.
+VALID_VALUES = {
+    "stopwords": [str(FIXTURES / "stopwords.txt")],
+    "stems": [str(FIXTURES / "stems.tsv")],
+    "synonyms": [str(FIXTURES / "synonyms.txt"), str(FIXTURES / "stems.tsv")],
+    "mode": ["traditional", "modified", "both"],
+    "measures": ["dice,cosine", ["jaccard"]],
+    "format": ["json", "csv"],
+    "modified_idf": ["resolved", "raw"],
+}
+COMMANDS = {
+    "matrix": MATRIX,
+    "sim": SIM,
+    "report": ["report", str(TRANSIT), str(ORCHARD), "a01"],
+    "vector": ["vector", str(TRANSIT), "a01"],
+    "preprocess": ["preprocess", str(TRANSIT / "a01.txt")],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_any_config_file_exits_0_2_or_64_with_one_error_line(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = {key: data.draw(st.sampled_from(values)) for key, values in VALID_VALUES.items()}
+        # A name without a separator keeps the output inside tmp.
+        names = TEXT.filter(lambda n: "/" not in n).map(lambda n: os.path.join(tmp, n))
+        keys = [*CONFIG_FILE_KEYS, "smoothing", "colour"]
+        for key in sorted(data.draw(st.sets(st.sampled_from(keys), max_size=3))):
+            config[key] = data.draw(JSON_VALUES | names if key == "out" else JSON_VALUES)
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(config, handle)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([*COMMANDS[command], "--config", path])
+    assert code in (0, 2, 64)
+    if code:
+        assert len(stderr.getvalue().splitlines()) == 1
+        assert stderr.getvalue().startswith("synsim: error:")

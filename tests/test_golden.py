@@ -59,13 +59,12 @@ def test_cli_output_matches_golden_bytes(name, capsysbinary):
 
 
 # Every setting of this case comes from the config file, including
-# modified_idf and smoothing, which have no flag.
+# modified_idf, which has no flag.
 CONFIG_ONLY = {
     "stopwords": str(FIXTURES / "stopwords.txt"),
     "stems": str(FIXTURES / "stems.tsv"),
     "synonyms": str(FIXTURES / "synonyms.txt"),
     "modified_idf": "raw",
-    "smoothing": "none",
     "measures": ["dice", "cosine"],
     "format": "csv",
 }
