@@ -210,12 +210,12 @@ def anchor_matrix(
     A term's weight depends on the term, the document and the weighting,
     never on the pair; the pair only keeps the union of the two documents'
     terms. Outside its own terms, a document can carry a modified weight
-    only for the terms it reaches through a synonym, which the table's
-    inversion (``SynonymTable.reached_by``) lists. So the anchor's
-    traditional vector and its modified weights over its own terms are
-    built once, and each side of a pair adds only the other side's terms
-    that it reaches; no synonym row is walked for a term that resolves to
-    zero. Scores are bit-identical to weighting both documents over the
+    only for a term with a synonym candidate in it (``reached_terms``, read
+    from ``SynonymTable.candidates``). So the anchor's traditional vector
+    and its modified weights over its own terms are built once, and each
+    side of a pair adds only the other side's terms that it reaches;
+    ``resolve_count`` is called only for a term that resolves to a positive
+    count. Scores are bit-identical to weighting both documents over the
     pair union.
     """
     if not target_ids:
@@ -226,15 +226,14 @@ def anchor_matrix(
     anchor_terms = tuple(anchor.counts)
     a_trad = vectorize(anchor, corpus, anchor_terms, traditional)
     a_own = vectorize(anchor, corpus, anchor_terms, modified).weights
-    a_reached = reached_terms(anchor, table)
     rows: list[PairResult] = []
     for target_id in target_ids:
         target = corpus.document(target_id)
         b_trad = vectorize(target, corpus, tuple(target.counts), traditional)
-        b_reached = [t for t in reached_terms(target, table) if t in anchor.counts]
+        b_reached = reached_terms(anchor.counts, target, table)
         b_mod = vectorize(target, corpus, (*target.counts, *b_reached), modified)
-        a_to_target = [t for t in a_reached if t in target.counts]
-        reached = vectorize(anchor, corpus, a_to_target, modified).weights
+        a_reached = reached_terms(target.counts, anchor, table)
+        reached = vectorize(anchor, corpus, a_reached, modified).weights
         a_mod = DocumentVector({**a_own, **reached})
         for measure in measures:
             traditional_value = similarity(measure, a_trad, b_trad).value

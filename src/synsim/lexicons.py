@@ -49,11 +49,11 @@ class SynonymRow:
 
 @dataclass(frozen=True)
 class SynonymTable:
-    """Ordered synonym rows, the only field; the indexes derive from them.
+    """Ordered synonym rows, the only field; ``candidates`` derives from them.
 
-    ``candidates`` and ``reached_by`` are computed once, on first use, so a
-    table built by hand behaves like a loaded one. Tables compare by their
-    rows and are hashable, so a table can key a memo.
+    ``candidates`` is computed once, on first use, so a table built by hand
+    behaves like a loaded one. Tables compare by their rows and are
+    hashable, so a table can key a memo.
     """
 
     rows: tuple[SynonymRow, ...] = ()
@@ -71,21 +71,6 @@ class SynonymTable:
                 if term not in candidates:
                     candidates[term] = tuple(t for t in row.terms if t != term)
         return candidates
-
-    @cached_property
-    def reached_by(self) -> dict[str, tuple[str, ...]]:
-        """For each term, the terms whose ``candidates`` hold it.
-
-        A document containing the term resolves a positive count for each
-        of them. With rows ``a,b`` and ``b,c`` a document holding ``b``
-        reaches ``a`` and ``c``, while one holding ``c`` reaches nothing
-        (``b`` takes its candidates from the first row).
-        """
-        reached_by: dict[str, list[str]] = {}
-        for term, synonyms in self.candidates.items():
-            for synonym in synonyms:
-                reached_by.setdefault(synonym, []).append(term)
-        return {s: tuple(terms) for s, terms in reached_by.items()}
 
     def __hash__(self) -> int:
         # The first row keeps hashing O(1); tables sharing it fall back to ==.

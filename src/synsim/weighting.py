@@ -190,15 +190,21 @@ def resolve_count(
     return ResolvedCount(count=0)
 
 
-def reached_terms(doc: ProcessedDocument, table: SynonymTable) -> set[str]:
-    """Terms outside ``doc`` whose resolved count in ``doc`` is positive.
+def reached_terms(
+    terms: Iterable[str], doc: ProcessedDocument, table: SynonymTable
+) -> list[str]:
+    """The ``terms`` outside ``doc`` whose resolved count in ``doc`` is positive.
 
-    These are the terms whose synonym candidates hold a term of ``doc``,
-    read from the table's inversion ``reached_by``; every other term
-    outside ``doc`` resolves to zero there.
+    These are the terms with a synonym candidate in ``doc``, read from
+    ``table.candidates`` as in :func:`resolve_count`; every other term
+    outside ``doc`` resolves to zero there. Order follows ``terms``.
     """
-    counts, reached_by = doc.counts, table.reached_by
-    return {t for s in counts for t in reached_by.get(s, ()) if t not in counts}
+    counts, candidates = doc.counts, table.candidates
+    return [
+        t
+        for t in terms
+        if t not in counts and not counts.keys().isdisjoint(candidates.get(t, ()))
+    ]
 
 
 def tf(count: int, total_tokens: int) -> float:

@@ -2,7 +2,7 @@
 
 ``compare_pair`` and ``anchor_matrix`` weight the anchor's own terms once
 and, per pair, resolve only the other side's terms that each side reaches
-through the inverted synonym table. The reference below
+through a synonym candidate (``reached_terms``). The reference below
 is the direct reading of the scheme: vectorize both documents over the
 pair's term union under both weightings, on a corpus of its own (so it
 shares no idf memo with the scorer under test), then run each measure.
@@ -34,11 +34,13 @@ from synsim import (
     load_synonym_table,
     normalize,
     preprocess,
+    resolve_count,
     similarity,
     stem,
     tokenize,
     vectorize,
 )
+from synsim.weighting import reached_terms
 
 TERMS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta")
 
@@ -129,6 +131,16 @@ def test_anchor_matrix_matches_reference(term_lists, table, configs, data):
                 anchor,
                 *reference_scores(corpus, anchor, row.target_id, row.measure, config),
             )
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents, tables, st.lists(st.sampled_from(TERMS), max_size=8))
+def test_reached_terms_are_the_missing_terms_that_resolve(term_lists, table, terms):
+    doc = build_corpus(term_lists, table).document("d0")
+    expected = [
+        t for t in terms if t not in doc.counts and resolve_count(t, doc, table).count > 0
+    ]
+    assert reached_terms(terms, doc, table) == expected
 
 
 # Every whitespace class str.split uses, and U+200B, which is not whitespace.

@@ -7,6 +7,7 @@ import pytest
 
 from synsim import (
     LexiconFormatError,
+    ProcessedDocument,
     StemLexicon,
     SynonymRow,
     SynonymTable,
@@ -14,6 +15,7 @@ from synsim import (
     load_stopwords,
     load_synonym_table,
 )
+from synsim.weighting import reached_terms
 
 
 def test_load_stopwords_basic():
@@ -89,12 +91,16 @@ def test_load_synonym_table_lowest_row_wins():
     assert table.candidates.get("a1", ()) == ("a0",)
 
 
-def test_reached_by_inverts_the_lowest_row_candidates():
-    # b takes its candidates from the first row, so c is reached from b
-    # but nothing is reached from c.
+def test_reached_terms_follow_the_lowest_row_candidates():
+    # b takes its candidates from the first row, so a document holding b
+    # reaches a and c, while one holding c reaches nothing.
     table = load_synonym_table(io.StringIO("a,b\nb,c\n"))
-    assert table.reached_by == {"a": ("b",), "b": ("a", "c")}
-    assert SynonymTable.empty().reached_by == {}
+    terms = ["a", "b", "c", "x"]
+    holding_b = ProcessedDocument.from_terms("d0", ["b"])
+    holding_c = ProcessedDocument.from_terms("d1", ["c"])
+    assert reached_terms(terms, holding_b, table) == ["a", "c"]
+    assert reached_terms(terms, holding_c, table) == []
+    assert reached_terms(terms, holding_b, SynonymTable.empty()) == []
 
 
 def test_hand_built_table_equals_the_loaded_one():
@@ -106,7 +112,6 @@ def test_hand_built_table_equals_the_loaded_one():
     for term in ("a", "b", "c", "z"):
         assert built.candidates.get(term, ()) == loaded.candidates.get(term, ())
     assert built.candidates.get("b", ()) == ("a",)
-    assert built.reached_by == loaded.reached_by == {"a": ("b",), "b": ("a", "c")}
 
 
 def test_load_synonym_table_trims_spaces_and_dedupes():
