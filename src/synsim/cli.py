@@ -131,7 +131,7 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

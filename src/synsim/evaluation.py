@@ -126,14 +126,18 @@ class DeltaSummary:
 def read_documents(directory) -> list[RawDocument]:
     """Raw documents from every ``.txt`` file in ``directory``.
 
-    The file basename without extension becomes the document id. Files are
-    returned in id order.
+    The file basename without extension becomes the document id, so a
+    name that is not valid UTF-8 is an error. Files are returned in id order.
     """
     root = Path(directory)
     if not root.is_dir():
         raise CorpusError(f"not a readable directory: {root}")
     docs = []
     for path in sorted(root.glob("*.txt"), key=lambda p: p.stem):
+        try:
+            path.name.encode("utf-8")
+        except UnicodeEncodeError:  # a byte the file system decoded to a lone surrogate
+            raise CorpusError(f"file name {str(path)!r} is not valid UTF-8") from None
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -397,6 +398,21 @@ def test_config_file_ignores_a_leading_bom(tmp_path, capsys):
     assert want != both  # the file's mode took effect
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"mode": ' + b"1" * 4301 + b"}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["integer-of-4301-digits", "arrays-nested-100000-deep"],
+)
+def test_config_file_json_past_the_decoder_limits_exits_64(raw, tmp_path, capsys):
+    # Written as raw bytes: json.dump cannot produce either file.
+    config = tmp_path / "config.json"
+    config.write_bytes(raw)
+    code, out, err = run(capsys, *MATRIX, *FIXTURE_FLAGS, "--config", str(config))
+    assert (code, out) == (64, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"synsim: error: config file {config} is not valid JSON")
+
+
 def test_out_flag_writes_file_and_not_stdout(tmp_path, capsys):
     out_path = tmp_path / "report.csv"
     code, out, _ = run(
@@ -431,6 +447,25 @@ def test_undecodable_corpus_file_is_named(small_setup, capsys):
     code, _, err = run(capsys, "matrix", str(corpus), "x", *flags)
     assert code == 2
     assert "bad.txt" in err
+
+
+def test_corpus_file_name_not_utf8_is_named(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a01.txt").write_bytes((TRANSIT / "a01.txt").read_bytes())
+    bad = os.path.join(os.fsencode(corpus), b"\xff.txt")
+    try:
+        with open(bad, "wb") as handle:
+            handle.write(b"alpha")
+    except OSError:
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    out_path = tmp_path / "out.json"
+    code, out, err = run(
+        capsys, "matrix", str(corpus), "a01", *FIXTURE_FLAGS, "--out", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"synsim: error: file name {os.fsdecode(bad)!r} is not valid UTF-8\n"
+    assert not out_path.exists()
 
 
 def test_malformed_stems_file_is_named(small_setup, tmp_path, capsys):
@@ -620,3 +655,60 @@ def test_any_config_file_exits_0_2_or_64_with_one_error_line(command, data):
     if code:
         assert len(stderr.getvalue().splitlines()) == 1
         assert stderr.getvalue().startswith("synsim: error:")
+
+
+# Invalid UTF-8 (a stray byte, a lone lead byte, an encoded surrogate), the
+# separators each format splits on, a BOM and the line breaks str.splitlines
+# sees beyond \n and \r.
+INPUT_BYTES = st.lists(
+    st.sampled_from(
+        [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\r", b"\t", b",", b"#",
+         b"\xef\xbb\xbf", "\u0085".encode(), "\u2028".encode(), b"\n", b" ", b"a"]
+    ),
+    max_size=8,
+).map(b"".join)
+INPUT_FILES = [
+    "stopwords.txt",
+    "stems.tsv",
+    "synonyms.txt",
+    "corpus/transit/a01.txt",
+    "corpus/transit/a02.txt",
+    "corpus/orchard/b01.txt",
+]
+INPUT_COMMANDS = {
+    "report": ["report", "corpus/transit", "corpus/orchard", "a01"],
+    "sim": ["sim", "corpus/transit/a01.txt", "corpus/transit/a02.txt", "corpus/transit"],
+    "vector": ["vector", "corpus/transit", "a01"],
+    "preprocess": ["preprocess", "corpus/transit/a01.txt"],
+}
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(INPUT_FILES), INPUT_BYTES, st.booleans(), st.data())
+def test_any_input_file_exits_0_2_or_64_with_one_error_line(command, name, piece, splice, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "fixtures"
+        shutil.copytree(FIXTURES, root)
+        changed = root / name
+        if splice:
+            original = changed.read_bytes()
+            at = data.draw(st.integers(0, len(original)))
+            piece = original[:at] + piece + original[at:]
+        changed.write_bytes(piece)
+        argv = [str(root / a) if "/" in a else a for a in INPUT_COMMANDS[command]]
+        flags = [
+            "--stopwords", str(root / "stopwords.txt"),
+            "--stems", str(root / "stems.tsv"),
+            "--synonyms", str(root / "synonyms.txt"),
+            "--out", str(Path(tmp) / "out"),
+        ]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([*argv, *flags])
+    assert code in (0, 2, 64)
+    if code:
+        assert len(stderr.getvalue().splitlines()) == 1
+        assert stderr.getvalue().startswith("synsim: error:")
+    if code == 2:
+        assert str(changed) in stderr.getvalue()
