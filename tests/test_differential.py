@@ -136,7 +136,7 @@ def test_anchor_matrix_matches_reference(term_lists, table, configs, data):
 @settings(max_examples=150, deadline=None)
 @given(documents, tables, st.lists(st.sampled_from(TERMS), max_size=8))
 def test_reached_terms_are_the_missing_terms_that_resolve(term_lists, table, terms):
-    doc = build_corpus(term_lists, table).document("d0")
+    doc = ProcessedDocument.from_terms("d0", term_lists[0])
     expected = [
         t for t in terms if t not in doc.counts and resolve_count(t, doc, table).count > 0
     ]
