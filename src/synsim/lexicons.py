@@ -110,11 +110,8 @@ def load_stem_lexicon(source) -> StemLexicon:
             raise LexiconFormatError(
                 f"expected exactly one TAB in {line!r}", line_number=number
             )
+        # The line is stripped, so both sides hold a non-space character.
         surface, target = (normalize(p.strip()) for p in parts)
-        if not surface or not target:
-            raise LexiconFormatError(
-                f"empty surface or stem in {line!r}", line_number=number
-            )
         entries[surface] = target
     return StemLexicon(entries=entries)
 

@@ -93,12 +93,14 @@ class ResolvedCount:
 class Corpus:
     """An ordered, immutable collection of processed documents.
 
-    Document frequencies for both schemes are answered from an inverted
-    term-to-documents index built once at construction. Idf values are
-    memoised per weighting setting (see :meth:`idf_memo`) and filled
-    lazily; each value is a pure function of the immutable corpus, so
-    concurrent readers that race on a memo only repeat work. A corpus
-    built without a synonym table holds an empty one.
+    ``postings``, built once at construction, maps each term to the ids of
+    the documents holding it, in corpus order. It answers document
+    frequencies for both schemes and, like ``doc.counts``, is public to
+    read and must not be mutated. Idf values are memoised per weighting
+    setting (see :meth:`idf_memo`) and filled lazily; each value is a pure
+    function of the immutable corpus, so concurrent readers that race on a
+    memo only repeat work. A corpus built without a synonym table holds an
+    empty one.
     """
 
     def __init__(
@@ -113,17 +115,14 @@ class Corpus:
             synonym_table = SynonymTable.empty()
         self.synonym_table = synonym_table
         self._by_id: dict[str, ProcessedDocument] = {}
+        self.postings: dict[str, list[str]] = {}
+        postings = self.postings
         for doc in self.docs:
             if doc.id in self._by_id:
                 raise DuplicateDocumentError(f"duplicate document id {doc.id!r}")
             self._by_id[doc.id] = doc
-        postings: dict[str, list[str]] = {}
-        for doc in self.docs:
             for term in doc.counts:
                 postings.setdefault(term, []).append(doc.id)
-        self._postings: dict[str, frozenset[str]] = {
-            term: frozenset(ids) for term, ids in postings.items()
-        }
         self._idf_memos: dict[tuple, dict[str, float]] = {}
 
     def __len__(self) -> int:
@@ -138,17 +137,13 @@ class Corpus:
 
     @property
     def vocabulary(self) -> frozenset[str]:
-        return frozenset(self._postings)
+        return frozenset(self.postings)
 
     def document(self, doc_id: str) -> ProcessedDocument:
         try:
             return self._by_id[doc_id]
         except KeyError:
             raise UnknownDocumentError(f"no document with id {doc_id!r}") from None
-
-    def documents_with(self, term: str) -> frozenset[str]:
-        """Ids of documents in which ``term`` literally occurs."""
-        return self._postings.get(term, frozenset())
 
     def idf_memo(
         self, mode: Mode, smoothing: Smoothing, table: SynonymTable | None
@@ -227,16 +222,15 @@ def document_frequency(
     the document contains the term or any synonym from its row in
     ``table``, which must be given; this never shrinks the traditional value.
     """
+    postings = corpus.postings
     if mode == "traditional":
-        return len(corpus.documents_with(term))
+        return len(postings.get(term, ()))
     if mode != "modified":
         check_choice("mode", mode, MODES)
     if table is None:
         raise ConfigError("mode 'modified' requires a synonym table")
-    matching = set(corpus.documents_with(term))
-    for candidate in table.candidates.get(term, ()):
-        matching |= corpus.documents_with(candidate)
-    return len(matching)
+    terms = (term, *table.candidates.get(term, ()))
+    return len(set().union(*(postings.get(t, ()) for t in terms)))
 
 
 def idf(

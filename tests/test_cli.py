@@ -19,11 +19,10 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 TRANSIT = FIXTURES / "corpus" / "transit"
 ORCHARD = FIXTURES / "corpus" / "orchard"
 
-FIXTURE_FLAGS = [
-    "--stopwords", str(FIXTURES / "stopwords.txt"),
-    "--stems", str(FIXTURES / "stems.tsv"),
-    "--synonyms", str(FIXTURES / "synonyms.txt"),
-]
+STOPWORDS_FLAG = ["--stopwords", str(FIXTURES / "stopwords.txt")]
+STEMS_FLAG = ["--stems", str(FIXTURES / "stems.tsv")]
+SYNONYMS_FLAG = ["--synonyms", str(FIXTURES / "synonyms.txt")]
+FIXTURE_FLAGS = [*STOPWORDS_FLAG, *STEMS_FLAG, *SYNONYMS_FLAG]
 
 
 def run(capsys, *argv):
@@ -439,6 +438,39 @@ def test_config_file_value_of_wrong_type_exits_64(entry, tmp_path, capsys):
     assert code == 64
     assert out == ""
     assert next(iter(entry)) in err
+
+
+# (flags after the matrix command, the start of the error message); {tmp}
+# is the test's directory, which holds array.json, a config file of [].
+SETTING_ERRORS = {
+    "measures-comma": (
+        [*FIXTURE_FLAGS, "--measures", ","], "at least one measure is required"
+    ),
+    "config-missing": (
+        [*FIXTURE_FLAGS, "--config", "{tmp}/missing.json"],
+        "cannot read config file {tmp}/missing.json: ",
+    ),
+    "config-directory": (
+        [*FIXTURE_FLAGS, "--config", "{tmp}"], "cannot read config file {tmp}: "
+    ),
+    "config-array": (
+        [*FIXTURE_FLAGS, "--config", "{tmp}/array.json"],
+        "config file {tmp}/array.json must hold a JSON object",
+    ),
+    "no-stopwords": ([*STEMS_FLAG, *SYNONYMS_FLAG], "--stopwords is required"),
+    "no-stems": ([*STOPWORDS_FLAG, *SYNONYMS_FLAG], "--stems is required"),
+}
+
+
+@pytest.mark.parametrize("case", SETTING_ERRORS)
+def test_bad_setting_exits_64_with_one_error_line(case, tmp_path, capsys):
+    flags, message = SETTING_ERRORS[case]
+    (tmp_path / "array.json").write_text("[]", encoding="utf-8")
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
+    code, out, err = run(capsys, *MATRIX, *flags)
+    assert (code, out) == (64, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("synsim: error: " + message.format(tmp=tmp_path))
 
 
 def test_undecodable_corpus_file_is_named(small_setup, capsys):

@@ -8,6 +8,10 @@ pair's term union under both weightings, on a corpus of its own (so it
 shares no idf memo with the scorer under test), then run each measure.
 Every score must agree bit for bit.
 
+``document_frequency`` reads the corpus's posting lists; it is checked
+against the scheme's definition, a count of the documents where the
+term's (resolved) count is positive.
+
 ``preprocess`` counts whitespace chunks and resolves each distinct token
 through a memo; its reference runs the stages one after another.
 """
@@ -30,6 +34,7 @@ from synsim import (
     anchor_matrix,
     build_vocabulary,
     compare_pair,
+    document_frequency,
     filter_stopwords,
     load_synonym_table,
     normalize,
@@ -141,6 +146,21 @@ def test_reached_terms_are_the_missing_terms_that_resolve(term_lists, table, ter
         t for t in terms if t not in doc.counts and resolve_count(t, doc, table).count > 0
     ]
     assert reached_terms(terms, doc, table) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents, tables)
+def test_document_frequency_counts_the_documents_that_resolve(term_lists, table):
+    # The scheme's definition: traditional df counts the documents holding
+    # the term, modified df those where its resolved count is positive.
+    corpus = build_corpus(term_lists, table)
+    for term in [*corpus.vocabulary, "absent"]:
+        assert document_frequency(corpus, term) == sum(
+            term in doc.counts for doc in corpus
+        )
+        assert document_frequency(corpus, term, "modified", table) == sum(
+            resolve_count(term, doc, table).count > 0 for doc in corpus
+        )
 
 
 # Every whitespace class str.split uses, and U+200B, which is not whitespace.

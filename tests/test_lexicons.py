@@ -63,9 +63,13 @@ def test_load_stem_lexicon_two_tabs_is_an_error():
         load_stem_lexicon(io.StringIO("a\tb\tc\n"))
 
 
-def test_load_stem_lexicon_empty_side_is_an_error():
-    with pytest.raises(LexiconFormatError) as err:
-        load_stem_lexicon(io.StringIO("ok\tfine\n\tb\n"))
+@pytest.mark.parametrize(
+    "line", ["\tb", "a\t", "x\t\x1c"], ids=["no-surface", "no-stem", "space-stem"]
+)
+def test_load_stem_lexicon_empty_side_is_an_error(line):
+    # Lines are stripped before splitting, so an empty side leaves no TAB.
+    with pytest.raises(LexiconFormatError, match="expected exactly one TAB") as err:
+        load_stem_lexicon(io.StringIO(f"ok\tfine\n{line}\n"))
     assert err.value.line_number == 2
 
 
@@ -114,8 +118,13 @@ def test_hand_built_table_equals_the_loaded_one():
     assert built.candidates.get("b", ()) == ("a",)
 
 
-def test_load_synonym_table_trims_spaces_and_dedupes():
-    table = load_synonym_table(io.StringIO("tram , streetcar, tram\n"))
+@pytest.mark.parametrize(
+    "line",
+    ["tram , streetcar, tram", "tram , , streetcar,tram"],
+    ids=["spaces-and-repeat", "empty-word"],
+)
+def test_load_synonym_table_trims_spaces_and_dedupes(line):
+    table = load_synonym_table(io.StringIO(line + "\n"))
     assert table.rows[0].terms == ("tram", "streetcar")
 
 

@@ -188,8 +188,11 @@ class TestCorpus:
             toy_corpus.document("nope")
 
     def test_postings(self, toy_corpus):
-        assert toy_corpus.documents_with("t1") == frozenset({"d1", "d2"})
-        assert toy_corpus.documents_with("zz") == frozenset()
+        assert toy_corpus.postings == {
+            "t1": ["d1", "d2"],
+            "t2": ["d1", "d3"],
+            "t3": ["d2", "d3"],
+        }
         assert toy_corpus.vocabulary == frozenset({"t1", "t2", "t3"})
 
 
