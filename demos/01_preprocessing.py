@@ -15,8 +15,6 @@ import io
 
 from synsim import (
     RawDocument,
-    StemLexicon,
-    StopwordList,
     filter_stopwords,
     load_stem_lexicon,
     load_stopwords,
@@ -66,10 +64,10 @@ print(f"  total kept tokens: {processed.total_tokens}")
 
 # The pipeline is script-agnostic: Cyrillic text works the same way.
 kazakh = RawDocument(id="kk", text="Ал мұнай мұнай.")
-processed_kk = preprocess(kazakh, load_stopwords(io.StringIO("ал\n")), StemLexicon({}))
+processed_kk = preprocess(kazakh, load_stopwords(io.StringIO("ал\n")), {})
 print("\nCyrillic sample 'Ал мұнай мұнай.' with stopword 'ал':")
 print(f"  counts: {processed_kk.counts}")
 
 # A token the stem lexicon does not list is its own stem.
 print("\nstem() on a lexicon miss:")
-print(f"  stem('grass') -> {stem('grass', StemLexicon({}))!r} (identity fallback)")
+print(f"  stem('grass') -> {stem('grass', {})!r} (identity fallback)")

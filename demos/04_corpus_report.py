@@ -36,7 +36,7 @@ corpus = load_corpus(
     synonym_table=table,
 )
 print(f"loaded {len(corpus)} documents: {', '.join(corpus.ids)}")
-print(f"synonym rows: {[row.terms for row in table.rows]}")
+print(f"synonym rows: {list(table.rows)}")
 
 anchor = "a01"
 similar_ids = [f"a{i:02d}" for i in range(2, 11)]

@@ -32,9 +32,6 @@ from .evaluation import (
     render_report,
 )
 from .lexicons import (
-    StemLexicon,
-    StopwordList,
-    SynonymRow,
     SynonymTable,
     load_stem_lexicon,
     load_stopwords,
@@ -92,9 +89,6 @@ __all__ = [
     "ReportTable",
     "ResolvedCount",
     "SimilarityScore",
-    "StemLexicon",
-    "StopwordList",
-    "SynonymRow",
     "SynonymTable",
     "SynsimError",
     "UnknownDocumentError",

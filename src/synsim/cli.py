@@ -28,13 +28,7 @@ from .evaluation import (
     read_documents,
     render_report,
 )
-from .lexicons import (
-    StemLexicon,
-    StopwordList,
-    load_stem_lexicon,
-    load_stopwords,
-    load_synonym_table,
-)
+from .lexicons import load_stem_lexicon, load_stopwords, load_synonym_table
 from .pipeline import RawDocument, normalize, preprocess, tokenize
 from .similarity import MEASURES
 from .weighting import MODES as SCHEMES
@@ -176,7 +170,7 @@ def _read_input(load, path, *args):
         raise SynsimError(f"{path}: {exc}") from exc
 
 
-def _load_lexicons(args: argparse.Namespace) -> tuple[StopwordList, StemLexicon]:
+def _load_lexicons(args: argparse.Namespace) -> tuple[frozenset[str], dict[str, str]]:
     return (
         _read_input(load_stopwords, args.stopwords),
         _read_input(load_stem_lexicon, args.stems),
@@ -246,7 +240,6 @@ def cmd_sim(args: argparse.Namespace) -> str:
 def _tables(args: argparse.Namespace, directories, anchor_id) -> list[ReportTable]:
     """One table per directory: ``anchor_id`` against the directory's other documents."""
     corpus, directory_ids = _load_corpus(args, directories)
-    corpus.document(anchor_id)
     comparison = ComparisonConfig(args.modified_idf)
     return [
         anchor_matrix(

@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Container, Mapping, Sequence
 
 from .errors import (
     ConfigError,
@@ -23,7 +23,7 @@ from .errors import (
     EmptyCorpusError,
     check_choice,
 )
-from .lexicons import StemLexicon, StopwordList, SynonymTable
+from .lexicons import SynonymTable
 from .pipeline import RawDocument, preprocess
 from .similarity import MEASURES, similarity
 from .weighting import (
@@ -148,8 +148,8 @@ def read_documents(directory) -> list[RawDocument]:
 
 def load_corpus(
     directories,
-    stopwords: StopwordList,
-    lexicon: StemLexicon,
+    stopwords: Container[str],
+    lexicon: Mapping[str, str],
     synonym_table: SynonymTable | None = None,
 ) -> Corpus:
     """Preprocess every ``.txt`` file under one or more directories.
@@ -209,7 +209,8 @@ def anchor_matrix(
 ) -> ReportTable:
     """Score ``anchor_id`` against every target, with per-measure averages.
 
-    Rows are ordered by target (in the given order), then by measure.
+    Rows are ordered by target (in the given order), then by measure. An
+    unknown anchor is reported before an empty target list.
 
     A term's weight depends on the term, the document and the weighting,
     never on the pair; the pair only keeps the union of the two documents'
@@ -222,9 +223,9 @@ def anchor_matrix(
     count. Scores are bit-identical to weighting both documents over the
     pair union.
     """
+    anchor = corpus.document(anchor_id)
     if not target_ids:
         raise CorpusError(f"anchor {anchor_id!r} has no targets to compare against")
-    anchor = corpus.document(anchor_id)
     traditional, modified = config.weightings(corpus)
     table = modified.synonym_table
     anchor_terms = tuple(anchor.counts)

@@ -9,54 +9,36 @@ and ``#`` comment lines ignored; a leading byte-order mark is dropped:
   line; entries are normalized and stemmed at load so the table lives in
   the same term space as processed documents
 
-Loaded structures are immutable and safe to share between threads.
+Loaded resources are plain builtins: the stopwords a ``frozenset``, the
+stem lexicon a ``dict`` and the synonym rows tuples of terms. The stopword
+set and the synonym rows are immutable. The lexicon ``dict`` is to be read
+and not mutated, like ``doc.counts`` and ``Corpus.postings``; read that
+way, all three are safe to share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .errors import LexiconFormatError
 from .pipeline import normalize, stem
 
 
 @dataclass(frozen=True)
-class StopwordList:
-    """Set of normalized surface forms to be removed before weighting."""
-
-    words: frozenset[str] = frozenset()
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
-
-
-@dataclass(frozen=True)
-class StemLexicon:
-    """Mapping from normalized surface form to its stem."""
-
-    entries: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class SynonymRow:
-    """One row of the synonym table: an ordered group of distinct stems."""
-
-    terms: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class SynonymTable:
     """Ordered synonym rows, the only field; ``candidates`` derives from them.
 
-    ``candidates`` is computed once, on first use, so a table built by hand
-    behaves like a loaded one. Tables compare by their rows and are
-    hashable, so a table can key a memo.
+    ``rows`` is a tuple of rows, each a tuple of distinct terms, so a table
+    is immutable, and one built by hand from plain tuples equals a loaded
+    one with the same rows. ``candidates`` is computed once, on first use.
+    Tables compare by their rows and are hashable, so a table can key a
+    memo.
     """
 
-    rows: tuple[SynonymRow, ...] = ()
+    rows: tuple[tuple[str, ...], ...] = ()
 
     @classmethod
     def empty(cls) -> "SynonymTable":
@@ -67,9 +49,9 @@ class SynonymTable:
         """Each term's synonyms: the other terms, in order, of the lowest row holding it."""
         candidates: dict[str, tuple[str, ...]] = {}
         for row in self.rows:
-            for term in row.terms:
+            for term in row:
                 if term not in candidates:
-                    candidates[term] = tuple(t for t in row.terms if t != term)
+                    candidates[term] = tuple(t for t in row if t != term)
         return candidates
 
     def __hash__(self) -> int:
@@ -95,13 +77,12 @@ def _content_lines(source) -> Iterator[tuple[int, str]]:
         yield number, line
 
 
-def load_stopwords(source) -> StopwordList:
+def load_stopwords(source) -> frozenset[str]:
     """Read a stopword file: one word per line, normalized, deduplicated."""
-    words = {normalize(line) for _, line in _content_lines(source)}
-    return StopwordList(words=frozenset(words))
+    return frozenset(normalize(line) for _, line in _content_lines(source))
 
 
-def load_stem_lexicon(source) -> StemLexicon:
+def load_stem_lexicon(source) -> dict[str, str]:
     """Read a surface-to-stem TSV; the last entry for a surface form wins."""
     entries: dict[str, str] = {}
     for number, line in _content_lines(source):
@@ -113,18 +94,18 @@ def load_stem_lexicon(source) -> StemLexicon:
         # The line is stripped, so both sides hold a non-space character.
         surface, target = (normalize(p.strip()) for p in parts)
         entries[surface] = target
-    return StemLexicon(entries=entries)
+    return entries
 
 
-def load_synonym_table(source, lexicon: StemLexicon | None = None) -> SynonymTable:
+def load_synonym_table(source, lexicon: Mapping[str, str] | None = None) -> SynonymTable:
     """Read a synonym file into stem space.
 
     Each line is split on commas; every word is normalized and stemmed with
     the given lexicon, then deduplicated keeping first occurrence. Rows left
     with fewer than two distinct terms can never fire and are dropped.
     """
-    lexicon = lexicon or StemLexicon()
-    rows: list[SynonymRow] = []
+    lexicon = lexicon or {}
+    rows: list[tuple[str, ...]] = []
     for _, line in _content_lines(source):
         words = [w.strip() for w in line.split(",")]
         terms: list[str] = []
@@ -136,5 +117,5 @@ def load_synonym_table(source, lexicon: StemLexicon | None = None) -> SynonymTab
                 terms.append(term)
         if len(terms) < 2:
             continue
-        rows.append(SynonymRow(terms=tuple(terms)))
+        rows.append(tuple(terms))
     return SynonymTable(rows=tuple(rows))

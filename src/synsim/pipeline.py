@@ -10,10 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import TYPE_CHECKING, Iterable, Mapping
-
-if TYPE_CHECKING:
-    from .lexicons import StemLexicon, StopwordList
+from typing import Container, Iterable, Mapping
 
 # Marks a token missing from a ``preprocess`` memo. None marks a stopword
 # there; "" cannot, because a lexicon may map a token to "", which is a term.
@@ -88,16 +85,15 @@ def filter_stopwords(tokens: Iterable[str], stopwords) -> list[str]:
     return [t for t in tokens if t not in stopwords]
 
 
-def stem(token: str, lexicon: "StemLexicon") -> str:
+def stem(token: str, lexicon: Mapping[str, str]) -> str:
     """Reduce a normalized token to its stem: its lexicon entry, else the token unchanged."""
-    mapped = lexicon.entries.get(token)
-    return token if mapped is None else mapped
+    return lexicon.get(token, token)
 
 
 def preprocess(
     doc: RawDocument,
-    stopwords: "StopwordList",
-    lexicon: "StemLexicon",
+    stopwords: Container[str],
+    lexicon: Mapping[str, str],
     terms: dict[str, str | None] | None = None,
 ) -> ProcessedDocument:
     """Run the full preparation chain on one document.

@@ -195,6 +195,18 @@ def test_matrix_unknown_anchor_exits_2(capsys):
     assert "zz99" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["matrix", str(TRANSIT), "zz"], ["report", str(TRANSIT), str(ORCHARD), "zz"]],
+    ids=["matrix", "report"],
+)
+def test_absent_anchor_exits_2_with_one_error_line(argv, capsys):
+    code, out, err = run(capsys, *argv, *FIXTURE_FLAGS)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["synsim: error: no document with id 'zz'"]
+
+
 def test_matrix_single_document_corpus_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -711,6 +723,7 @@ INPUT_COMMANDS = {
     "report": ["report", "corpus/transit", "corpus/orchard", "a01"],
     "sim": ["sim", "corpus/transit/a01.txt", "corpus/transit/a02.txt", "corpus/transit"],
     "vector": ["vector", "corpus/transit", "a01"],
+    "matrix": ["matrix", "corpus/transit", "a01"],
     "preprocess": ["preprocess", "corpus/transit/a01.txt"],
 }
 

@@ -27,8 +27,6 @@ from synsim import (
     Corpus,
     ProcessedDocument,
     RawDocument,
-    StemLexicon,
-    StopwordList,
     SynonymTable,
     WeightingConfig,
     anchor_matrix,
@@ -186,11 +184,11 @@ def listed(doc):
 
 def lexical_setting(data, words):
     """Stopwords and a stem lexicon over ``words``, which may map to ""."""
-    stopwords = StopwordList(frozenset(data.draw(st.lists(st.sampled_from(words)))))
+    stopwords = frozenset(data.draw(st.lists(st.sampled_from(words))))
     entries = data.draw(
         st.dictionaries(st.sampled_from(words), st.sampled_from(["", *words]))
     )
-    return stopwords, StemLexicon(entries)
+    return stopwords, entries
 
 
 @settings(max_examples=300, deadline=None)

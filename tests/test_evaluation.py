@@ -21,9 +21,8 @@ from synsim import (
     MeasureAverages,
     PairResult,
     ReportTable,
-    StemLexicon,
-    StopwordList,
     SynonymTable,
+    UnknownDocumentError,
     anchor_matrix,
     compare_pair,
     delta_summary,
@@ -38,8 +37,8 @@ from synsim import (
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 TRANSIT = FIXTURES / "corpus" / "transit"
 ORCHARD = FIXTURES / "corpus" / "orchard"
-EMPTY_STOPS = StopwordList(frozenset())
-EMPTY_LEX = StemLexicon({})
+EMPTY_STOPS = frozenset()
+EMPTY_LEX = {}
 
 
 def write_corpus(root, files: dict):
@@ -163,10 +162,13 @@ def test_compare_pair_planted_synonym_boost(planted):
 
 
 def test_compare_pair_unknown_id(planted):
-    from synsim import UnknownDocumentError
-
     with pytest.raises(UnknownDocumentError):
         compare_pair(planted, "q", "missing", "cosine")
+
+
+def test_anchor_matrix_looks_up_an_absent_anchor_before_its_targets(planted):
+    with pytest.raises(UnknownDocumentError):
+        anchor_matrix(planted, "missing", [])
 
 
 def test_anchor_matrix_single_target_averages(planted):

@@ -8,8 +8,6 @@ import pytest
 from synsim import (
     LexiconFormatError,
     ProcessedDocument,
-    StemLexicon,
-    SynonymRow,
     SynonymTable,
     load_stem_lexicon,
     load_stopwords,
@@ -32,24 +30,24 @@ def test_load_stopwords_empty_stream():
 
 def test_load_stopwords_normalizes_and_dedupes():
     stops = load_stopwords(io.StringIO("Ал\nал\n"))
-    assert len(stops.words) == 1
+    assert len(stops) == 1
     assert "ал" in stops
 
 
 def test_load_stopwords_skips_comments_and_blanks():
     stops = load_stopwords(io.StringIO("# header\n\nthe\n"))
-    assert stops.words == frozenset({"the"})
+    assert stops == frozenset({"the"})
 
 
 def test_load_stem_lexicon_single_entry():
     lex = load_stem_lexicon(io.StringIO("кітаптар\tкітап\n"))
-    assert lex.entries.get("кітаптар") == "кітап"
-    assert lex.entries.get("кітап") is None
+    assert lex.get("кітаптар") == "кітап"
+    assert lex.get("кітап") is None
 
 
 def test_load_stem_lexicon_last_write_wins():
     lex = load_stem_lexicon(io.StringIO("a\tb\na\tc\n"))
-    assert lex.entries.get("a") == "c"
+    assert lex.get("a") == "c"
 
 
 def test_load_stem_lexicon_missing_tab_is_an_error():
@@ -82,7 +80,7 @@ def test_load_stem_lexicon_reports_later_line_numbers():
 def test_load_synonym_table_rows_and_order():
     table = load_synonym_table(io.StringIO("A0,A1,A2\nB0,B1\n"))
     assert len(table.rows) == 2
-    assert table.rows[0].terms == ("a0", "a1", "a2")
+    assert table.rows[0] == ("a0", "a1", "a2")
 
 
 def test_load_synonym_table_drops_singletons():
@@ -109,7 +107,7 @@ def test_reached_terms_follow_the_lowest_row_candidates():
 
 def test_hand_built_table_equals_the_loaded_one():
     # The indexes derive from the rows, so building rows by hand loses none.
-    built = SynonymTable(rows=(SynonymRow(("a", "b")), SynonymRow(("b", "c"))))
+    built = SynonymTable(rows=(("a", "b"), ("b", "c")))
     loaded = load_synonym_table(io.StringIO("a,b\nb,c\n"))
     assert [f.name for f in fields(SynonymTable)] == ["rows"]
     assert built == loaded
@@ -125,13 +123,13 @@ def test_hand_built_table_equals_the_loaded_one():
 )
 def test_load_synonym_table_trims_spaces_and_dedupes(line):
     table = load_synonym_table(io.StringIO(line + "\n"))
-    assert table.rows[0].terms == ("tram", "streetcar")
+    assert table.rows[0] == ("tram", "streetcar")
 
 
 def test_load_synonym_table_applies_stemming():
-    lex = StemLexicon({"streetcars": "streetcar"})
+    lex = {"streetcars": "streetcar"}
     table = load_synonym_table(io.StringIO("Tram,Streetcars\n"), lex)
-    assert table.rows[0].terms == ("tram", "streetcar")
+    assert table.rows[0] == ("tram", "streetcar")
 
 
 def test_synonym_candidates_in_row_order():
@@ -152,10 +150,10 @@ def test_synonym_candidates_absent_term():
 def test_synonym_candidates_never_contain_the_term():
     table = load_synonym_table(io.StringIO("a,b,c\nd,e\n"))
     for row in table.rows:
-        for term in row.terms:
+        for term in row:
             cands = table.candidates.get(term, ())
             assert term not in cands
-            assert len(cands) == len(row.terms) - 1
+            assert len(cands) == len(row) - 1
 
 
 def test_empty_table():
@@ -188,13 +186,13 @@ def _after_bom(kind, text, tmp_path):
 @pytest.mark.parametrize("kind", ["path", "stream"])
 def test_load_stopwords_ignores_a_leading_bom(kind, tmp_path):
     stops = load_stopwords(_after_bom(kind, "and\nthe\n", tmp_path))
-    assert stops.words == frozenset({"and", "the"})
+    assert stops == frozenset({"and", "the"})
 
 
 @pytest.mark.parametrize("kind", ["path", "stream"])
 def test_load_stem_lexicon_ignores_a_leading_bom(kind, tmp_path):
     lex = load_stem_lexicon(_after_bom(kind, "cars\tcar\n", tmp_path))
-    assert lex.entries == {"cars": "car"}
+    assert lex == {"cars": "car"}
 
 
 @pytest.mark.parametrize("kind", ["path", "stream"])

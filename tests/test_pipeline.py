@@ -6,8 +6,6 @@ import pytest
 from synsim import (
     ProcessedDocument,
     RawDocument,
-    StemLexicon,
-    StopwordList,
     filter_stopwords,
     normalize,
     preprocess,
@@ -57,44 +55,44 @@ def test_normalize_lowercases(token, expected):
 
 
 def test_filter_stopwords_exact_members():
-    stops = StopwordList(frozenset({"ал"}))
+    stops = frozenset({"ал"})
     assert filter_stopwords(["ал", "мұнай"], stops) == ["мұнай"]
 
 
 def test_filter_stopwords_removes_all_occurrences():
-    stops = StopwordList(frozenset({"a"}))
+    stops = frozenset({"a"})
     assert filter_stopwords(["a", "b", "a"], stops) == ["b"]
 
 
 def test_filter_stopwords_empty_sequence():
-    assert filter_stopwords([], StopwordList(frozenset({"x"}))) == []
+    assert filter_stopwords([], frozenset({"x"})) == []
 
 
 def test_stem_lexicon_hit():
-    lex = StemLexicon({"кітаптар": "кітап"})
+    lex = {"кітаптар": "кітап"}
     assert stem("кітаптар", lex) == "кітап"
 
 
 def test_stem_identity_fallback():
-    assert stem("x", StemLexicon({})) == "x"
+    assert stem("x", {}) == "x"
 
 
 def test_preprocess_order_and_counts():
     doc = RawDocument(id="q", text="Ал мұнай мұнай.")
-    out = preprocess(doc, StopwordList(frozenset({"ал"})), StemLexicon({}))
+    out = preprocess(doc, frozenset({"ал"}), {})
     assert out.counts == {"мұнай": 2}
     assert out.total_tokens == 2
 
 
 def test_preprocess_empty_text():
-    out = preprocess(RawDocument(id="q", text=""), StopwordList(frozenset()), StemLexicon({}))
+    out = preprocess(RawDocument(id="q", text=""), frozenset(), {})
     assert out.counts == {}
     assert out.total_tokens == 0
 
 
 def test_preprocess_digits_only():
     out = preprocess(
-        RawDocument(id="q", text="123 456"), StopwordList(frozenset()), StemLexicon({})
+        RawDocument(id="q", text="123 456"), frozenset(), {}
     )
     assert out.total_tokens == 0
 
@@ -102,8 +100,8 @@ def test_preprocess_digits_only():
 def test_stopwords_filtered_before_stemming():
     """A surface form on the stopword list never reaches the stemmer, even
     when its stem would have survived."""
-    stops = StopwordList(frozenset({"runs"}))
-    lex = StemLexicon({"runs": "run"})
+    stops = frozenset({"runs"})
+    lex = {"runs": "run"}
     out = preprocess(RawDocument(id="q", text="runs run"), stops, lex)
     assert out.counts == {"run": 1}
 
@@ -130,8 +128,8 @@ def test_count_conservation_over_random_texts():
         text = "".join(rng.choice(alphabet, size=rng.integers(0, 60)))
         out = preprocess(
             RawDocument(id="r", text=text),
-            StopwordList(frozenset({"a"})),
-            StemLexicon({"ab": "a"}),
+            frozenset({"a"}),
+            {"ab": "a"},
         )
         assert out.total_tokens == sum(out.counts.values())
         assert all(c >= 1 for c in out.counts.values())
@@ -140,8 +138,8 @@ def test_count_conservation_over_random_texts():
 def test_pipeline_idempotence_on_fixed_points():
     """Re-preprocessing a document's own stemmed terms reproduces the counts
     when every stem is a lexicon fixed point and not a stopword."""
-    stops = StopwordList(frozenset({"the"}))
-    lex = StemLexicon({"wagons": "wagon", "wagon": "wagon"})
+    stops = frozenset({"the"})
+    lex = {"wagons": "wagon", "wagon": "wagon"}
     first = preprocess(RawDocument(id="d", text="the wagons roll, the wagon"), stops, lex)
     rejoined = " ".join(
         term for term, count in sorted(first.counts.items()) for _ in range(count)

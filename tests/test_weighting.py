@@ -296,6 +296,8 @@ class TestVectorize:
         table = table_from("t1,t2\n")
         memo = toy_corpus.idf_memo("modified", "none", table)
         assert toy_corpus.idf_memo("modified", "none", table_from("t1,t2\n")) is memo
+        # A table built by hand from plain tuples keys the same memo.
+        assert toy_corpus.idf_memo("modified", "none", SynonymTable(rows=(("t1", "t2"),))) is memo
         assert toy_corpus.idf_memo("modified", "none", SynonymTable.empty()) is not memo
         assert toy_corpus.idf_memo("modified", "plus_one_when_zero", table) is not memo
         # Traditional idf ignores the table.
