@@ -29,7 +29,7 @@ from .evaluation import (
     render_report,
 )
 from .lexicons import load_stem_lexicon, load_stopwords, load_synonym_table
-from .pipeline import RawDocument, normalize, preprocess, tokenize
+from .pipeline import RawDocument, _chunk_terms, normalize, preprocess, tokenize
 from .similarity import MEASURES
 from .weighting import MODES as SCHEMES
 from .weighting import MODIFIED_IDFS, Corpus, vectorize
@@ -207,12 +207,14 @@ def _document_id(path, corpus_dir) -> str:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
+        # OSError from open, write or close (a full disk fails at close, where
+        # the buffer is flushed, and carries no file name); ValueError from a
+        # NUL or a lone surrogate in the path, which a config file can hold.
         try:
-            handle = open(args.out, "w", encoding="utf-8", newline="")
-        except ValueError as exc:  # a NUL or a lone surrogate, which a config file can hold
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except (OSError, ValueError) as exc:
             raise SynsimError(f"cannot write {args.out!r}: {exc}") from exc
-        with handle:
-            handle.write(text)
     else:
         sys.stdout.write(text)
 
@@ -267,12 +269,11 @@ def cmd_preprocess(args: argparse.Namespace) -> str:
     path = Path(args.file)
     text = _read_input(Path.read_text, path, "utf-8")
     stopwords, lexicon = _load_lexicons(args)
-    # Whitespace is never a letter, so every token of the text keys the memo.
-    terms: dict[str, str | None] = {}
-    processed = preprocess(RawDocument(id=path.stem, text=text), stopwords, lexicon, terms)
+    processed = preprocess(RawDocument(id=path.stem, text=text), stopwords, lexicon)
     lines = []
     for token in tokenize(text):
-        term = terms[token]
+        # A token is an alphabetic chunk, so it yields one term or None.
+        term = _chunk_terms(token, stopwords, lexicon)
         lines.append(f"{token}\t{normalize(token)}\t{'(stopword)' if term is None else term}")
     lines.append("")
     lines.append("counts:")

@@ -2,19 +2,18 @@
 
 The stages are deliberately small pure functions so each can be tested in
 isolation; ``preprocess`` applies them in a fixed order, once per distinct
-token, and reduces a raw document to a bag of stemmed term counts.
+whitespace chunk, and reduces a raw document to a bag of stemmed term counts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
+from operator import is_not
+from sys import intern
 from typing import Container, Iterable, Mapping
-
-# Marks a token missing from a ``preprocess`` memo. None marks a stopword
-# there; "" cannot, because a lexicon may map a token to "", which is a term.
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -90,35 +89,58 @@ def stem(token: str, lexicon: Mapping[str, str]) -> str:
     return lexicon.get(token, token)
 
 
+def _chunk_terms(
+    chunk: str, stopwords: Container[str], lexicon: Mapping[str, str]
+) -> str | tuple[str, ...] | None:
+    """The terms of one whitespace chunk: tokenize, normalize, drop stopwords, stem.
+
+    Returns its one term; None when it yields none (stopwords, digits,
+    punctuation); or, for the rare chunk such as "a-b" that yields several,
+    a tuple of them in order. "" is a term, because a lexicon may map to
+    it. An alphabetic chunk is its own single token.
+    """
+    # Interned, so that the equal terms of different chunks ("word",
+    # "word.") are one object, and term lookups in the counts, the postings
+    # and the idf memos match by identity.
+    found = [
+        intern(stem(word, lexicon))
+        for word in map(normalize, (chunk,) if chunk.isalpha() else tokenize(chunk))
+        if word not in stopwords
+    ]
+    return found[0] if len(found) == 1 else tuple(found) or None
+
+
 def preprocess(
     doc: RawDocument,
     stopwords: Container[str],
     lexicon: Mapping[str, str],
-    terms: dict[str, str | None] | None = None,
+    terms: dict[str, str | tuple[str, ...] | None] | None = None,
 ) -> ProcessedDocument:
     """Run the full preparation chain on one document.
 
     Order is fixed: tokenize, normalize, remove stopwords, stem. Stopwords
     are matched on normalized surface forms, before stemming.
 
-    ``terms`` memoizes each token's term (None for a stopword) so each
-    distinct token is analysed once. Calls may share one memo only when
-    they pass the same ``stopwords`` and ``lexicon``; without ``terms`` a
-    fresh memo is used. Counts are in first-occurrence order either way.
+    ``terms`` memoizes what each whitespace chunk of the text yields (see
+    ``_chunk_terms``), so each distinct chunk is analysed once and the
+    chunks of a document are counted in one pass. Calls may share one memo
+    only when they pass the same ``stopwords`` and ``lexicon``; without
+    ``terms`` a fresh memo is used. Counts are in first-occurrence order
+    either way.
     """
     if terms is None:
         terms = {}
-    counts: dict[str, int] = {}
-    total = 0
-    # Whitespace is never a letter, so tokens never span whitespace chunks,
-    # and distinct chunks in first-occurrence order keep the terms' order.
-    for chunk, n in Counter(doc.text.split()).items():
-        for token in (chunk,) if chunk.isalpha() else tokenize(chunk):
-            term = terms.get(token, _MISSING)
-            if term is _MISSING:
-                word = normalize(token)
-                term = terms[token] = None if word in stopwords else stem(word, lexicon)
-            if term is not None:
-                counts[term] = counts.get(term, 0) + n
-                total += n
-    return ProcessedDocument(id=doc.id, counts=counts, total_tokens=total)
+    # Whitespace is never a letter, so tokens never span whitespace chunks.
+    chunks = doc.text.split()
+    for chunk in set(chunks).difference(terms):
+        terms[chunk] = _chunk_terms(chunk, stopwords, lexicon)
+    counts = Counter(filter(partial(is_not, None), map(terms.__getitem__, chunks)))
+    if tuple in set(map(type, counts)):
+        # Keys are in first-occurrence order, so expanding each tuple in
+        # place keeps the terms' first-occurrence order.
+        expanded: dict[str, int] = {}
+        for key, n in counts.items():
+            for term in key if type(key) is tuple else (key,):
+                expanded[term] = expanded.get(term, 0) + n
+        counts = expanded
+    return ProcessedDocument(id=doc.id, counts=dict(counts), total_tokens=sum(counts.values()))

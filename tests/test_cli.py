@@ -650,6 +650,47 @@ def test_empty_path_exits_64_and_names_the_setting(key, form, tmp_path, capsys):
     assert err == f"synsim: error: {key} is an empty path\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_failed_write_to_out_names_the_file(capsys):
+    # Every write to /dev/full fails with ENOSPC, an error that names no file.
+    code, out, err = run(capsys, *MATRIX, *FIXTURE_FLAGS, "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("synsim: error: cannot write '/dev/full': ")
+
+
+# (argv, the path the error must name): a directory where a file is expected,
+# and a file where a directory is. {tmp} is the test's directory; its corpus
+# holds a01.txt, a02.txt and a directory named x.txt.
+SWAPPED_KINDS = {
+    **{
+        f"{key}-directory": ([*MATRIX, *FIXTURE_FLAGS, f"--{key}", "{tmp}"], "{tmp}")
+        for key in ("config", *PATH_KEYS)
+    },
+    "corpus-file": (
+        ["matrix", str(TRANSIT / "a01.txt"), "a01", *FIXTURE_FLAGS], str(TRANSIT / "a01.txt")
+    ),
+    "corpus-directory-named-txt": (
+        ["matrix", "{tmp}/corpus", "a01", *FIXTURE_FLAGS], "{tmp}/corpus/x.txt"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SWAPPED_KINDS)
+def test_swapped_file_kind_exits_with_one_error_line_naming_it(case, tmp_path, capsys):
+    argv, path = SWAPPED_KINDS[case]
+    corpus = tmp_path / "corpus"
+    (corpus / "x.txt").mkdir(parents=True)
+    for name in ("a01.txt", "a02.txt"):
+        shutil.copy(TRANSIT / name, corpus)
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code in (2, 64)
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("synsim: error: ")
+    assert path.format(tmp=tmp_path) in err
+
+
 # Any code point, lone surrogates included: a JSON file can hold what argv cannot.
 TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from("\n\r\x00\ud800\u2028"))
 JSON_VALUES = st.recursive(

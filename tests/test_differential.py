@@ -12,8 +12,9 @@ Every score must agree bit for bit.
 against the scheme's definition, a count of the documents where the
 term's (resolved) count is positive.
 
-``preprocess`` counts whitespace chunks and resolves each distinct token
-through a memo; its reference runs the stages one after another.
+``preprocess`` resolves each distinct whitespace chunk through a memo
+(to a term, None or a tuple of terms) and counts a document's chunks in
+one pass; its reference runs the stages one after another.
 """
 
 import io

@@ -146,3 +146,46 @@ def test_pipeline_idempotence_on_fixed_points():
     )
     second = preprocess(RawDocument(id="d2", text=rejoined), stops, lex)
     assert second.counts == first.counts
+
+
+STOPS = frozenset({"the", "of"})
+LEXICON = {"x": "", "words": "word"}
+
+
+def chain(doc, stopwords, lexicon):
+    """The stages one after another: what ``preprocess`` must equal."""
+    words = filter_stopwords([normalize(t) for t in tokenize(doc.text)], stopwords)
+    return ProcessedDocument.from_terms(doc.id, [stem(w, lexicon) for w in words])
+
+
+# Whitespace chunks the memo must get right; each case is a list of texts
+# preprocessed in order.
+CHUNK_CASES = {
+    "several-terms": ["c a-b b", "b a-b a-a"],
+    "only-stopwords": ["the-of The"],
+    "term-is-empty": ["x x-x y"],
+    "dot": ["."],
+    "letter-dot": ["a."],
+    "letter-dots": ["a.."],
+    "superscript-dot": ["a²."],
+    "two-letter-lowercase": ["İ İ."],
+    "word-dot-then-word": ["Word.", "word"],
+}
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_preprocess_chunk_cases_match_the_chain(case):
+    shared = {}
+    for i, text in enumerate(CHUNK_CASES[case]):
+        doc = RawDocument(id=f"d{i}", text=text)
+        expected = chain(doc, STOPS, LEXICON)
+        for out in (preprocess(doc, STOPS, LEXICON), preprocess(doc, STOPS, LEXICON, shared)):
+            assert type(out.counts) is dict
+            assert list(out.counts.items()) == list(expected.counts.items())
+            assert out.total_tokens == expected.total_tokens
+
+
+def test_preprocess_memo_maps_each_chunk_to_what_it_yields():
+    terms = {}
+    preprocess(RawDocument(id="d", text="The-of a-b x . Words."), STOPS, LEXICON, terms)
+    assert terms == {"The-of": None, "a-b": ("a", "b"), "x": "", ".": None, "Words.": "word"}
