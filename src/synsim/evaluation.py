@@ -31,6 +31,7 @@ from .weighting import (
     DocumentVector,
     ModifiedIdf,
     WeightingConfig,
+    _own_term_weights,
     _sum_left_to_right,
     reached_terms,
     vectorize,
@@ -216,27 +217,28 @@ def anchor_matrix(
     never on the pair; the pair only keeps the union of the two documents'
     terms. Outside its own terms, a document can carry a modified weight
     only for a term with a synonym candidate in it (``reached_terms``, read
-    from ``SynonymTable.candidates``). So the anchor's traditional vector
-    and its modified weights over its own terms are built once, and each
-    side of a pair adds only the other side's terms that it reaches;
-    ``resolve_count`` is called only for a term that resolves to a positive
-    count. Scores are bit-identical to weighting both documents over the
-    pair union.
+    from ``SynonymTable.candidates``). So each document's own terms are
+    weighted under both schemes in one pass, the anchor's once per call,
+    and each side of a pair adds only the other side's terms that it
+    reaches; ``resolve_count`` is called only for a term that resolves to a
+    positive count. Scores are bit-identical to weighting both documents
+    over the pair union.
     """
     anchor = corpus.document(anchor_id)
     if not target_ids:
         raise CorpusError(f"anchor {anchor_id!r} has no targets to compare against")
     traditional, modified = config.weightings(corpus)
     table = modified.synonym_table
-    anchor_terms = tuple(anchor.counts)
-    a_trad = vectorize(anchor, corpus, anchor_terms, traditional)
-    a_own = vectorize(anchor, corpus, anchor_terms, modified).weights
+    own_trad, a_own = _own_term_weights(anchor, corpus, traditional, modified)
+    a_trad = DocumentVector(own_trad)
     rows: list[PairResult] = []
     for target_id in target_ids:
         target = corpus.document(target_id)
-        b_trad = vectorize(target, corpus, tuple(target.counts), traditional)
+        own_trad, b_own = _own_term_weights(target, corpus, traditional, modified)
+        b_trad = DocumentVector(own_trad)
         b_reached = reached_terms(anchor.counts, target, table)
-        b_mod = vectorize(target, corpus, (*target.counts, *b_reached), modified)
+        b_own.update(vectorize(target, corpus, b_reached, modified).weights)
+        b_mod = DocumentVector(b_own)
         a_reached = reached_terms(target.counts, anchor, table)
         reached = vectorize(anchor, corpus, a_reached, modified).weights
         a_mod = DocumentVector({**a_own, **reached})

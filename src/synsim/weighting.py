@@ -25,8 +25,9 @@ while ``none`` raises.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 from .errors import (
@@ -97,10 +98,11 @@ class Corpus:
     the documents holding it, in corpus order. It answers document
     frequencies for both schemes and, like ``doc.counts``, is public to
     read and must not be mutated. Idf values are memoised per weighting
-    setting (see :meth:`idf_memo`) and filled lazily; each value is a pure
-    function of the immutable corpus, so concurrent readers that race on a
-    memo only repeat work. A corpus built without a synonym table holds an
-    empty one.
+    setting (see :meth:`idf_memo`), and modified document frequencies per
+    synonym row (see :func:`document_frequency`); both fill lazily. Each
+    value is a pure function of the immutable corpus, so concurrent readers
+    that race on a memo only repeat work. A corpus built without a synonym
+    table holds an empty one.
     """
 
     def __init__(
@@ -124,6 +126,7 @@ class Corpus:
             for term in doc.counts:
                 postings.setdefault(term, []).append(doc.id)
         self._idf_memos: dict[tuple, dict[str, float]] = {}
+        self._row_dfs: dict[frozenset[str], int] = {}
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -221,6 +224,12 @@ def document_frequency(
     document when the term's resolved count there is positive, i.e. when
     the document contains the term or any synonym from its row in
     ``table``, which must be given; this never shrinks the traditional value.
+
+    So every term whose lowest row is the same has the same modified df:
+    the size of the union of the row's posting lists. It is computed once
+    per corpus and row and memoised on the corpus, keyed by the row's set
+    of terms. The key names only terms, so tables sharing a row share the
+    entry. A term in no row has its traditional df, which is not memoised.
     """
     postings = corpus.postings
     if mode == "traditional":
@@ -229,8 +238,14 @@ def document_frequency(
         check_choice("mode", mode, MODES)
     if table is None:
         raise ConfigError("mode 'modified' requires a synonym table")
-    terms = (term, *table.candidates.get(term, ()))
-    return len(set().union(*(postings.get(t, ()) for t in terms)))
+    synonyms = table.candidates.get(term)
+    if not synonyms:
+        return len(postings.get(term, ()))
+    row = frozenset((term, *synonyms))
+    df = corpus._row_dfs.get(row)
+    if df is None:
+        df = corpus._row_dfs[row] = len(set().union(*(postings.get(t, ()) for t in row)))
+    return df
 
 
 def idf(
@@ -260,10 +275,17 @@ def idf(
 def _sum_left_to_right(values: Iterable[float]) -> float:
     # Built-in sum() of floats is compensated since Python 3.12; adding left
     # to right keeps every score the same bits on every Python version.
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+    return reduce(operator.add, values, 0.0)
+
+
+def _fill_idf(
+    idfs: dict[str, float], corpus: Corpus, term: str, config: WeightingConfig
+) -> float:
+    """Compute ``term``'s idf under ``config`` and store it in its memo ``idfs``."""
+    value = idfs[term] = idf(
+        corpus, term, config.idf_mode, config.smoothing, config.synonym_table
+    )
+    return value
 
 
 def build_vocabulary(a: ProcessedDocument, b: ProcessedDocument) -> tuple[str, ...]:
@@ -301,8 +323,7 @@ def vectorize(
     and setting, and read from :meth:`Corpus.idf_memo` afterwards.
     """
     modified = config.mode == "modified"
-    idf_mode = config.idf_mode
-    idfs = corpus.idf_memo(idf_mode, config.smoothing, config.synonym_table)
+    idfs = corpus.idf_memo(config.idf_mode, config.smoothing, config.synonym_table)
     counts = doc.counts
     weights: dict[str, float] = {}
     for term in vocabulary:
@@ -313,10 +334,45 @@ def vectorize(
             continue
         term_idf = idfs.get(term)
         if term_idf is None:
-            term_idf = idfs[term] = idf(
-                corpus, term, idf_mode, config.smoothing, config.synonym_table
-            )
+            term_idf = _fill_idf(idfs, corpus, term, config)
         weight = tf(count, doc.total_tokens) * term_idf
         if weight != 0.0:
             weights[term] = weight
     return DocumentVector(weights)
+
+
+def _own_term_weights(
+    doc: ProcessedDocument,
+    corpus: Corpus,
+    traditional: WeightingConfig,
+    modified: WeightingConfig,
+) -> tuple[dict[str, float], dict[str, float]]:
+    """Weights of ``doc``'s own terms under two weightings, in one pass.
+
+    Each map equals ``vectorize(doc, corpus, tuple(doc.counts), config).weights``
+    for its config, key order included. An own term's count is positive,
+    so the modified scheme resolves it to itself: both weights share one
+    tf, and only their idf differs, read from the memos ``vectorize`` reads.
+    """
+    total = doc.total_tokens
+    t_idfs = corpus.idf_memo(
+        traditional.idf_mode, traditional.smoothing, traditional.synonym_table
+    )
+    m_idfs = corpus.idf_memo(modified.idf_mode, modified.smoothing, modified.synonym_table)
+    t_weights: dict[str, float] = {}
+    m_weights: dict[str, float] = {}
+    for term, count in doc.counts.items():
+        term_tf = count / total
+        t_idf = t_idfs.get(term)
+        if t_idf is None:
+            t_idf = _fill_idf(t_idfs, corpus, term, traditional)
+        m_idf = m_idfs.get(term)
+        if m_idf is None:
+            m_idf = _fill_idf(m_idfs, corpus, term, modified)
+        weight = term_tf * t_idf
+        if weight != 0.0:
+            t_weights[term] = weight
+        weight = term_tf * m_idf
+        if weight != 0.0:
+            m_weights[term] = weight
+    return t_weights, m_weights

@@ -120,23 +120,25 @@ def test_fixture_pair_boost_shows_in_sim(capsys):
 
 
 def test_sim_weights_the_anchor_once_for_every_measure(capsys, monkeypatch):
-    calls = []
-    vectorize = synsim.evaluation.vectorize
+    calls = {"_own_term_weights": [], "vectorize": []}
+    for name, seen in calls.items():
+        function = getattr(synsim.evaluation, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].id)
-        return vectorize(*args, **kwargs)
+        def counted(*args, function=function, seen=seen, **kwargs):
+            seen.append(args[0].id)
+            return function(*args, **kwargs)
 
-    monkeypatch.setattr(synsim.evaluation, "vectorize", counted)
+        monkeypatch.setattr(synsim.evaluation, name, counted)
     code, out, _ = run(
         capsys, "sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT),
         *FIXTURE_FLAGS, "--measures", "cosine,jaccard,dice",
     )
     assert code == 0
     assert len(out.splitlines()) == 3
-    # The anchor's two own-term vectors, then per target its two vectors
-    # and the anchor's synonym-reached terms.
-    assert sorted(calls) == ["a01", "a01", "a01", "a02", "a02"]
+    # One pass weights each side's own terms under both schemes; then each
+    # side weights the terms of the other that it reaches through a synonym.
+    assert calls["_own_term_weights"] == ["a01", "a02"]
+    assert sorted(calls["vectorize"]) == ["a01", "a02"]
 
 
 def test_unknown_measure_exits_64(small_setup, capsys):

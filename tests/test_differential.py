@@ -8,9 +8,14 @@ pair's term union under both weightings, on a corpus of its own (so it
 shares no idf memo with the scorer under test), then run each measure.
 Every score must agree bit for bit.
 
-``document_frequency`` reads the corpus's posting lists; it is checked
-against the scheme's definition, a count of the documents where the
-term's (resolved) count is positive.
+Each document's own terms are weighted under both schemes in one pass
+(``_own_term_weights``); that pass is checked against ``vectorize`` over
+the document's own terms.
+
+``document_frequency`` reads the corpus's posting lists and memoises a
+modified df per synonym row on the corpus; it is checked against the
+scheme's definition, a count of the documents where the term's (resolved)
+count is positive, with several tables asked of one corpus.
 
 ``preprocess`` resolves each distinct whitespace chunk through a memo
 (to a term, None or a tuple of terms) and counts a document's chunks in
@@ -44,7 +49,7 @@ from synsim import (
     tokenize,
     vectorize,
 )
-from synsim.weighting import reached_terms
+from synsim.weighting import _own_term_weights, reached_terms
 
 TERMS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta")
 
@@ -160,6 +165,37 @@ def test_document_frequency_counts_the_documents_that_resolve(term_lists, table)
         assert document_frequency(corpus, term, "modified", table) == sum(
             resolve_count(term, doc, table).count > 0 for doc in corpus
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents, tables, tables)
+def test_modified_df_memo_serves_each_row_and_table_its_own(term_lists, first, second):
+    # The two tables often share terms but not rows. Each term is asked
+    # twice, in two orders, so most answers come from the corpus's memo.
+    corpus = build_corpus(term_lists, first)
+    terms = [*TERMS, "absent"]
+    for table in (first, second):
+        for term in [*terms, *reversed(terms)]:
+            assert document_frequency(corpus, term, "modified", table) == sum(
+                resolve_count(term, doc, table).count > 0 for doc in corpus
+            )
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents, tables, st.sampled_from(("resolved", "raw")))
+def test_own_term_weights_equal_vectorize_over_own_terms(term_lists, table, modified_idf):
+    corpus = build_corpus(term_lists, table)
+    fresh = build_corpus(term_lists, table)
+    configs = (
+        WeightingConfig(mode="traditional"),
+        WeightingConfig(mode="modified", synonym_table=table, modified_idf=modified_idf),
+    )
+    for doc in corpus:
+        got = _own_term_weights(doc, corpus, *configs)
+        expected = [vectorize(doc, fresh, tuple(doc.counts), c).weights for c in configs]
+        assert [[(t, w.hex()) for t, w in m.items()] for m in got] == [
+            [(t, w.hex()) for t, w in m.items()] for m in expected
+        ]
 
 
 # Every whitespace class str.split uses, and U+200B, which is not whitespace.

@@ -2,6 +2,7 @@
 
 import io
 import math
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -26,6 +27,7 @@ from synsim import (
     tf,
     vectorize,
 )
+from synsim.weighting import _own_term_weights
 
 
 def make_doc(doc_id: str, terms: list[str]) -> ProcessedDocument:
@@ -109,6 +111,31 @@ class TestDocumentFrequency:
         table = table_from("A0,A1\n")
         assert document_frequency(corpus, "a0", "traditional") == 1
         assert document_frequency(corpus, "a0", "modified", table) == 2
+
+    def test_modified_reads_each_row_once(self):
+        # A row's modified df is the size of the union of its postings;
+        # every term of the row shares it, so each list is read once.
+        corpus = Corpus(
+            [
+                make_doc("d1", ["a", "x"]),
+                make_doc("d2", ["b"]),
+                make_doc("d3", ["c", "d"]),
+                make_doc("d4", ["x"]),
+            ]
+        )
+        reads = Counter()
+
+        class CountedPostings(dict):
+            def get(self, term, default=None):
+                reads[term] += 1
+                return super().get(term, default)
+
+        corpus.postings = CountedPostings(corpus.postings)
+        table = table_from("a,b,c,d\n")
+        assert [document_frequency(corpus, t, "modified", table) for t in "abcd"] == [3] * 4
+        assert reads == {"a": 1, "b": 1, "c": 1, "d": 1}
+        # A term in no row has its traditional df.
+        assert document_frequency(corpus, "x", "modified", table) == 2
 
     def test_modified_without_a_table_raises(self, toy_corpus):
         # The corpus's own table is not a silent default here.
@@ -291,6 +318,30 @@ class TestVectorize:
         for _ in range(2):
             with pytest.raises(ZeroDocumentFrequencyError):
                 vectorize(outsider, toy_corpus, vocabulary, WeightingConfig(smoothing="none"))
+
+    @pytest.mark.parametrize("modified_idf", ["resolved", "raw"])
+    def test_own_term_weights_equal_vectorize_over_own_terms(self, modified_idf):
+        docs = [
+            make_doc("d1", ["all", "a0", "a0", "x"]),
+            make_doc("d2", ["all", "a1", "y"]),
+            make_doc("d3", ["y", "all", "y"]),
+        ]
+        corpus = Corpus(docs)
+        # The expected maps come from a corpus that shares no memo.
+        fresh = Corpus(docs)
+        table = table_from("A0,A1\n")
+        configs = (
+            WeightingConfig(mode="traditional"),
+            WeightingConfig(mode="modified", synonym_table=table, modified_idf=modified_idf),
+        )
+        for doc in docs:
+            got = _own_term_weights(doc, corpus, *configs)
+            expected = [vectorize(doc, fresh, tuple(doc.counts), c).weights for c in configs]
+            assert [[(t, w.hex()) for t, w in m.items()] for m in got] == [
+                [(t, w.hex()) for t, w in m.items()] for m in expected
+            ]
+            # "all" is in every document: its idf is 0, so both maps drop it.
+            assert all("all" not in m for m in got)
 
     def test_idf_memo_is_keyed_by_setting_and_table(self, toy_corpus):
         table = table_from("t1,t2\n")
