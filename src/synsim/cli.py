@@ -272,9 +272,9 @@ def cmd_preprocess(args: argparse.Namespace) -> str:
     processed = preprocess(RawDocument(id=path.stem, text=text), stopwords, lexicon)
     lines = []
     for token in tokenize(text):
-        # A token is an alphabetic chunk, so it yields one term or None.
-        term = _chunk_terms(token, stopwords, lexicon)
-        lines.append(f"{token}\t{normalize(token)}\t{'(stopword)' if term is None else term}")
+        # A token is an alphabetic chunk, so it yields one term or none.
+        (term,) = _chunk_terms(token, stopwords, lexicon) or ("(stopword)",)
+        lines.append(f"{token}\t{normalize(token)}\t{term}")
     lines.append("")
     lines.append("counts:")
     for term in sorted(processed.counts):

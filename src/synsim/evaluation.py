@@ -185,7 +185,7 @@ def load_corpus(
     if not raw:
         raise EmptyCorpusError(f"no .txt documents found under {names}")
     raw.sort(key=lambda d: d.id)
-    terms: dict[str, str | tuple[str, ...] | None] = {}
+    terms: dict[str, tuple[str, ...]] = {}
     processed = [preprocess(d, stopwords, lexicon, terms) for d in raw]
     return Corpus(processed, synonym_table=synonym_table)
 

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import groupby
-from operator import is_not
+from itertools import chain, filterfalse, groupby
 from sys import intern
 from typing import Container, Iterable, Mapping
 
@@ -91,56 +89,47 @@ def stem(token: str, lexicon: Mapping[str, str]) -> str:
 
 def _chunk_terms(
     chunk: str, stopwords: Container[str], lexicon: Mapping[str, str]
-) -> str | tuple[str, ...] | None:
-    """The terms of one whitespace chunk: tokenize, normalize, drop stopwords, stem.
+) -> tuple[str, ...]:
+    """The terms of one whitespace chunk, in order: tokenize, normalize, drop stopwords, stem.
 
-    Returns its one term; None when it yields none (stopwords, digits,
-    punctuation); or, for the rare chunk such as "a-b" that yields several,
-    a tuple of them in order. "" is a term, because a lexicon may map to
-    it. An alphabetic chunk is its own single token.
+    A chunk of stopwords, digits or punctuation yields ``()``; the common
+    chunk yields one term; a chunk such as "a-b" yields several. "" is a
+    term, because a lexicon may map to it. An alphabetic chunk is its own
+    single token.
     """
     # Interned, so that the equal terms of different chunks ("word",
     # "word.") are one object, and term lookups in the counts, the postings
     # and the idf memos match by identity.
-    found = [
+    return tuple(
         intern(stem(word, lexicon))
         for word in map(normalize, (chunk,) if chunk.isalpha() else tokenize(chunk))
         if word not in stopwords
-    ]
-    return found[0] if len(found) == 1 else tuple(found) or None
+    )
 
 
 def preprocess(
     doc: RawDocument,
     stopwords: Container[str],
     lexicon: Mapping[str, str],
-    terms: dict[str, str | tuple[str, ...] | None] | None = None,
+    terms: dict[str, tuple[str, ...]] | None = None,
 ) -> ProcessedDocument:
     """Run the full preparation chain on one document.
 
     Order is fixed: tokenize, normalize, remove stopwords, stem. Stopwords
     are matched on normalized surface forms, before stemming.
 
-    ``terms`` memoizes what each whitespace chunk of the text yields (see
-    ``_chunk_terms``), so each distinct chunk is analysed once and the
-    chunks of a document are counted in one pass. Calls may share one memo
-    only when they pass the same ``stopwords`` and ``lexicon``; without
-    ``terms`` a fresh memo is used. Counts are in first-occurrence order
-    either way.
+    ``terms`` memoizes the tuple of terms each whitespace chunk of the text
+    yields (see ``_chunk_terms``), so each distinct chunk is analysed once
+    and the chunks of a document are counted in one pass. Calls may share
+    one memo only when they pass the same ``stopwords`` and ``lexicon``;
+    without ``terms`` a fresh memo is used. Counts are in first-occurrence
+    order either way.
     """
     if terms is None:
         terms = {}
     # Whitespace is never a letter, so tokens never span whitespace chunks.
     chunks = doc.text.split()
-    for chunk in set(chunks).difference(terms):
+    for chunk in filterfalse(terms.__contains__, chunks):
         terms[chunk] = _chunk_terms(chunk, stopwords, lexicon)
-    counts = Counter(filter(partial(is_not, None), map(terms.__getitem__, chunks)))
-    if tuple in set(map(type, counts)):
-        # Keys are in first-occurrence order, so expanding each tuple in
-        # place keeps the terms' first-occurrence order.
-        expanded: dict[str, int] = {}
-        for key, n in counts.items():
-            for term in key if type(key) is tuple else (key,):
-                expanded[term] = expanded.get(term, 0) + n
-        counts = expanded
+    counts = Counter(chain.from_iterable(map(terms.__getitem__, chunks)))
     return ProcessedDocument(id=doc.id, counts=dict(counts), total_tokens=sum(counts.values()))

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including the exit-code contract."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -727,17 +728,23 @@ COMMANDS = {
 def test_any_config_file_exits_0_2_or_64_with_one_error_line(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         config = {key: data.draw(st.sampled_from(values)) for key, values in VALID_VALUES.items()}
-        # A name without a separator keeps the output inside tmp.
-        names = TEXT.filter(lambda n: "/" not in n).map(lambda n: os.path.join(tmp, n))
+        # The run's working directory is tmp, and an output name holds no
+        # "/", so neither "/x" nor "../x" can leave it.
+        outs = (JSON_VALUES | TEXT).filter(lambda v: not (isinstance(v, str) and "/" in v))
         keys = [*CONFIG_FILE_KEYS, "smoothing", "colour"]
         for key in sorted(data.draw(st.sets(st.sampled_from(keys), max_size=3))):
-            config[key] = data.draw(JSON_VALUES | names if key == "out" else JSON_VALUES)
+            config[key] = data.draw(outs if key == "out" else JSON_VALUES)
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(config, handle)
         stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main([*COMMANDS[command], "--config", path])
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main([*COMMANDS[command], "--config", path])
+        finally:
+            os.chdir(cwd)
     assert code in (0, 2, 64)
     if code:
         assert len(stderr.getvalue().splitlines()) == 1
@@ -800,3 +807,28 @@ def test_any_input_file_exits_0_2_or_64_with_one_error_line(command, name, piece
         assert stderr.getvalue().startswith("synsim: error:")
     if code == 2:
         assert str(changed) in stderr.getvalue()
+
+
+# Pieces of corpus file names that a CSV cell quotes or a shell escapes; the
+# empty name is the file named exactly ".txt", whose id is ".txt".
+FILE_NAMES = st.lists(st.sampled_from(["\n", " ", "\\", "é", ",", '"', "b"]), max_size=4).map("".join)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(FILE_NAMES, min_size=1, max_size=4))
+def test_any_corpus_file_names_exit_0_2_or_64_and_read_back_from_csv(names):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp)
+        shutil.copy(TRANSIT / "a01.txt", corpus)
+        for name in names:
+            (corpus / f"{name}.txt").write_text("мұнай құбыры", encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["matrix", tmp, "a01", *FIXTURE_FLAGS, "--format", "csv"])
+    assert code in (0, 2, 64)
+    if code:
+        assert len(stderr.getvalue().splitlines()) == 1
+        assert stderr.getvalue().startswith("synsim: error:")
+    else:
+        targets = {row[1] for row in csv.reader(io.StringIO(stdout.getvalue()))}
+        assert targets - {"target", "average"} == {name or ".txt" for name in names}

@@ -18,8 +18,8 @@ scheme's definition, a count of the documents where the term's (resolved)
 count is positive, with several tables asked of one corpus.
 
 ``preprocess`` resolves each distinct whitespace chunk through a memo
-(to a term, None or a tuple of terms) and counts a document's chunks in
-one pass; its reference runs the stages one after another.
+(to the tuple of terms it yields, possibly empty) and counts a document's
+chunks in one pass; its reference runs the stages one after another.
 """
 
 import io

@@ -170,6 +170,11 @@ CHUNK_CASES = {
     "superscript-dot": ["a²."],
     "two-letter-lowercase": ["İ İ."],
     "word-dot-then-word": ["Word.", "word"],
+    # One multi-term chunk repeats a term, and its terms first occur both
+    # before and after single-term chunks.
+    "repeated-term-in-chunk": ["a-b-a", "b-a-b a"],
+    "chunk-between-singles": ["b a-b-a", "a-b b"],
+    "chunk-after-singles": ["c a c-a-b-c b"],
 }
 
 
@@ -188,4 +193,4 @@ def test_preprocess_chunk_cases_match_the_chain(case):
 def test_preprocess_memo_maps_each_chunk_to_what_it_yields():
     terms = {}
     preprocess(RawDocument(id="d", text="The-of a-b x . Words."), STOPS, LEXICON, terms)
-    assert terms == {"The-of": None, "a-b": ("a", "b"), "x": "", ".": None, "Words.": "word"}
+    assert terms == {"The-of": (), "a-b": ("a", "b"), "x": ("",), ".": (), "Words.": ("word",)}
