@@ -24,7 +24,7 @@ from .errors import (
     check_choice,
 )
 from .lexicons import SynonymTable
-from .pipeline import RawDocument, preprocess
+from .pipeline import RawDocument, _ChunkTerms, preprocess
 from .similarity import MEASURES, similarity
 from .weighting import (
     Corpus,
@@ -185,7 +185,7 @@ def load_corpus(
     if not raw:
         raise EmptyCorpusError(f"no .txt documents found under {names}")
     raw.sort(key=lambda d: d.id)
-    terms: dict[str, tuple[str, ...]] = {}
+    terms = _ChunkTerms(stopwords, lexicon)
     processed = [preprocess(d, stopwords, lexicon, terms) for d in raw]
     return Corpus(processed, synonym_table=synonym_table)
 

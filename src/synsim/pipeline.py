@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse, groupby
+from itertools import chain, groupby
 from sys import intern
 from typing import Container, Iterable, Mapping
 
@@ -28,7 +28,9 @@ class ProcessedDocument:
 
     Every count is at least 1. ``total_tokens`` is the number of tokens that
     survived filtering, which equals the sum of all counts; it is the
-    term-frequency denominator.
+    term-frequency denominator. The constructor checks both rules;
+    ``preprocess`` builds its documents, which hold by construction,
+    through ``_unchecked`` instead.
     """
 
     id: str
@@ -44,6 +46,17 @@ class ProcessedDocument:
                 f"document {self.id!r}: total_tokens={self.total_tokens} "
                 f"does not equal the sum of counts {sum(self.counts.values())}"
             )
+
+    @classmethod
+    def _unchecked(
+        cls, doc_id: str, counts: Mapping[str, int], total_tokens: int
+    ) -> "ProcessedDocument":
+        """Build without ``__post_init__``: the caller guarantees both rules."""
+        doc = object.__new__(cls)
+        object.__setattr__(doc, "id", doc_id)
+        object.__setattr__(doc, "counts", counts)
+        object.__setattr__(doc, "total_tokens", total_tokens)
+        return doc
 
     @classmethod
     def from_terms(cls, doc_id: str, terms: Iterable[str]) -> "ProcessedDocument":
@@ -95,23 +108,45 @@ def _chunk_terms(
     A chunk of stopwords, digits or punctuation yields ``()``; the common
     chunk yields one term; a chunk such as "a-b" yields several. "" is a
     term, because a lexicon may map to it. An alphabetic chunk is its own
-    single token.
+    single token, so it yields its one term or ``()`` without tokenizing.
     """
     # Interned, so that the equal terms of different chunks ("word",
     # "word.") are one object, and term lookups in the counts, the postings
     # and the idf memos match by identity.
+    if chunk.isalpha():
+        word = normalize(chunk)
+        return () if word in stopwords else (intern(stem(word, lexicon)),)
     return tuple(
         intern(stem(word, lexicon))
-        for word in map(normalize, (chunk,) if chunk.isalpha() else tokenize(chunk))
+        for word in map(normalize, tokenize(chunk))
         if word not in stopwords
     )
+
+
+class _ChunkTerms(dict):
+    """Memo from each whitespace chunk to its ``_chunk_terms``, for one setting.
+
+    It is bound to one ``stopwords`` and one ``lexicon`` object, and a
+    chunk it has not seen is analysed on lookup, stored and returned.
+    """
+
+    __slots__ = ("stopwords", "lexicon")
+
+    def __init__(self, stopwords: Container[str], lexicon: Mapping[str, str]):
+        super().__init__()
+        self.stopwords = stopwords
+        self.lexicon = lexicon
+
+    def __missing__(self, chunk: str) -> tuple[str, ...]:
+        terms = self[chunk] = _chunk_terms(chunk, self.stopwords, self.lexicon)
+        return terms
 
 
 def preprocess(
     doc: RawDocument,
     stopwords: Container[str],
     lexicon: Mapping[str, str],
-    terms: dict[str, tuple[str, ...]] | None = None,
+    terms: _ChunkTerms | None = None,
 ) -> ProcessedDocument:
     """Run the full preparation chain on one document.
 
@@ -120,16 +155,20 @@ def preprocess(
 
     ``terms`` memoizes the tuple of terms each whitespace chunk of the text
     yields (see ``_chunk_terms``), so each distinct chunk is analysed once
-    and the chunks of a document are counted in one pass. Calls may share
-    one memo only when they pass the same ``stopwords`` and ``lexicon``;
-    without ``terms`` a fresh memo is used. Counts are in first-occurrence
+    and the chunks of a document are counted in one pass. It is a
+    ``_ChunkTerms(stopwords, lexicon)``, and calls may share it only when
+    they pass those same two objects; any other memo raises ``ValueError``.
+    Without ``terms`` a fresh memo is used. Counts are in first-occurrence
     order either way.
     """
     if terms is None:
-        terms = {}
+        terms = _ChunkTerms(stopwords, lexicon)
+    elif not (
+        isinstance(terms, _ChunkTerms)
+        and terms.stopwords is stopwords
+        and terms.lexicon is lexicon
+    ):
+        raise ValueError("the chunk memo is not bound to these stopwords and this lexicon")
     # Whitespace is never a letter, so tokens never span whitespace chunks.
-    chunks = doc.text.split()
-    for chunk in filterfalse(terms.__contains__, chunks):
-        terms[chunk] = _chunk_terms(chunk, stopwords, lexicon)
-    counts = Counter(chain.from_iterable(map(terms.__getitem__, chunks)))
-    return ProcessedDocument(id=doc.id, counts=dict(counts), total_tokens=sum(counts.values()))
+    counts = Counter(chain.from_iterable(map(terms.__getitem__, doc.text.split())))
+    return ProcessedDocument._unchecked(doc.id, dict(counts), sum(counts.values()))

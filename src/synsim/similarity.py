@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import check_choice
 from .weighting import DocumentVector, _sum_left_to_right
@@ -48,7 +49,8 @@ def dot(x, y) -> float:
     unchanged, so summing the intersection equals summing the union.
     """
     xw, yw = _vector(x).weights, _vector(y).weights
-    return _sum_left_to_right(xw[t] * yw[t] for t in sorted(xw.keys() & yw.keys()))
+    shared = sorted(xw.keys() & yw.keys())
+    return _sum_left_to_right(map(mul, map(xw.__getitem__, shared), map(yw.__getitem__, shared)))
 
 
 def cosine(x, y) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Iterable, Literal, Mapping, Sequence, get_args
@@ -94,10 +95,10 @@ class ResolvedCount:
 class Corpus:
     """An ordered, immutable collection of processed documents.
 
-    ``postings``, built once at construction, maps each term to the ids of
-    the documents holding it, in corpus order. It answers document
-    frequencies for both schemes and, like ``doc.counts``, is public to
-    read and must not be mutated. Idf values are memoised per weighting
+    ``postings``, built once at construction, is a plain dict that maps
+    each term to the ids of the documents holding it, in corpus order. It
+    answers document frequencies for both schemes and, like ``doc.counts``,
+    is public to read and must not be mutated. Idf values are memoised per weighting
     setting (see :meth:`idf_memo`), and modified document frequencies per
     synonym row (see :func:`document_frequency`); both fill lazily. Each
     value is a pure function of the immutable corpus, so concurrent readers
@@ -116,15 +117,18 @@ class Corpus:
         if synonym_table is None:
             synonym_table = SynonymTable.empty()
         self.synonym_table = synonym_table
-        self._by_id: dict[str, ProcessedDocument] = {}
-        self.postings: dict[str, list[str]] = {}
-        postings = self.postings
+        by_id: dict[str, ProcessedDocument] = {}
+        postings: defaultdict[str, list[str]] = defaultdict(list)
         for doc in self.docs:
-            if doc.id in self._by_id:
-                raise DuplicateDocumentError(f"duplicate document id {doc.id!r}")
-            self._by_id[doc.id] = doc
+            doc_id = doc.id
+            if doc_id in by_id:
+                raise DuplicateDocumentError(f"duplicate document id {doc_id!r}")
+            by_id[doc_id] = doc
             for term in doc.counts:
-                postings.setdefault(term, []).append(doc.id)
+                postings[term].append(doc_id)
+        self._by_id = by_id
+        # A plain dict, so that looking up an absent term adds no entry.
+        self.postings: dict[str, list[str]] = dict(postings)
         self._idf_memos: dict[tuple, dict[str, float]] = {}
         self._row_dfs: dict[frozenset[str], int] = {}
 
@@ -305,8 +309,8 @@ class DocumentVector:
     @cached_property
     def norm_squared(self) -> float:
         """Sum of the squared weights in sorted term order, computed once."""
-        w = self.weights
-        return _sum_left_to_right(w[t] * w[t] for t in sorted(w))
+        w = list(map(self.weights.__getitem__, sorted(self.weights)))
+        return _sum_left_to_right(map(operator.mul, w, w))
 
 
 def vectorize(

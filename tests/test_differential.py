@@ -18,8 +18,9 @@ scheme's definition, a count of the documents where the term's (resolved)
 count is positive, with several tables asked of one corpus.
 
 ``preprocess`` resolves each distinct whitespace chunk through a memo
-(to the tuple of terms it yields, possibly empty) and counts a document's
-chunks in one pass; its reference runs the stages one after another.
+(to the tuple of terms it yields, possibly empty), counts a document's
+chunks in one pass and builds the document without the constructor's
+checks; its reference runs the stages one after another.
 """
 
 import io
@@ -49,6 +50,7 @@ from synsim import (
     tokenize,
     vectorize,
 )
+from synsim.pipeline import _ChunkTerms
 from synsim.weighting import _own_term_weights, reached_terms
 
 TERMS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta")
@@ -245,8 +247,15 @@ def test_preprocess_with_shared_memo_matches_plain_chain(pieces, data):
     # Two settings in a row: each memo serves one setting only.
     for _ in range(2):
         stopwords, lexicon = lexical_setting(data, words)
-        terms = {}
+        terms = _ChunkTerms(stopwords, lexicon)
         for doc in docs:
             expected = listed(reference_preprocess(doc, stopwords, lexicon))
-            assert listed(preprocess(doc, stopwords, lexicon, terms)) == expected
-            assert listed(preprocess(doc, stopwords, lexicon)) == expected
+            for out in (
+                preprocess(doc, stopwords, lexicon, terms),
+                preprocess(doc, stopwords, lexicon),
+            ):
+                assert listed(out) == expected
+                # Built without the constructor's checks, yet a document
+                # the validating constructor accepts and equals.
+                assert type(out) is ProcessedDocument
+                assert out == ProcessedDocument(out.id, dict(out.counts), out.total_tokens)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import synsim.pipeline
 import synsim.weighting
 from synsim import (
     ComparisonConfig,
@@ -97,6 +98,22 @@ def test_load_corpus_equals_per_document_preprocess(
         return [(d.id, list(d.counts.items()), d.total_tokens) for d in docs]
 
     assert listed(fixture_corpus) == listed(expected)
+
+
+def test_load_corpus_analyses_each_distinct_chunk_once(tmp_path, monkeypatch):
+    directory = write_corpus(
+        tmp_path / "c", {"a": "x y, x x-y", "b": "y, z x-y", "c": "x y y, Z"}
+    )
+    seen = []
+    chunk_terms = synsim.pipeline._chunk_terms
+
+    def counted(chunk, stopwords, lexicon):
+        seen.append(chunk)
+        return chunk_terms(chunk, stopwords, lexicon)
+
+    monkeypatch.setattr(synsim.pipeline, "_chunk_terms", counted)
+    load_corpus(directory, EMPTY_STOPS, EMPTY_LEX)
+    assert sorted(seen) == ["Z", "x", "x-y", "y", "y,", "z"]
 
 
 def test_load_corpus_duplicate_ids_across_directories(tmp_path):

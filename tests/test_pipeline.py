@@ -12,6 +12,7 @@ from synsim import (
     stem,
     tokenize,
 )
+from synsim.pipeline import _ChunkTerms
 
 
 def test_tokenize_splits_on_nonletters():
@@ -180,7 +181,7 @@ CHUNK_CASES = {
 
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_preprocess_chunk_cases_match_the_chain(case):
-    shared = {}
+    shared = _ChunkTerms(STOPS, LEXICON)
     for i, text in enumerate(CHUNK_CASES[case]):
         doc = RawDocument(id=f"d{i}", text=text)
         expected = chain(doc, STOPS, LEXICON)
@@ -191,6 +192,19 @@ def test_preprocess_chunk_cases_match_the_chain(case):
 
 
 def test_preprocess_memo_maps_each_chunk_to_what_it_yields():
-    terms = {}
+    terms = _ChunkTerms(STOPS, LEXICON)
     preprocess(RawDocument(id="d", text="The-of a-b x . Words."), STOPS, LEXICON, terms)
     assert terms == {"The-of": (), "a-b": ("a", "b"), "x": ("",), ".": (), "Words.": ("word",)}
+
+
+@pytest.mark.parametrize(
+    "memo",
+    [{}, _ChunkTerms(set(STOPS), LEXICON), _ChunkTerms(STOPS, dict(LEXICON))],
+    ids=["plain-dict", "other-stopwords", "other-lexicon"],
+)
+def test_preprocess_rejects_a_memo_bound_to_another_setting(memo):
+    # Equal but distinct objects are another setting too: the memo cannot
+    # tell whether they will stay equal.
+    with pytest.raises(ValueError, match="chunk memo"):
+        preprocess(RawDocument(id="d", text="a b"), STOPS, LEXICON, memo)
+    assert memo == {}

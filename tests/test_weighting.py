@@ -221,6 +221,10 @@ class TestCorpus:
             "t3": ["d2", "d3"],
         }
         assert toy_corpus.vocabulary == frozenset({"t1", "t2", "t3"})
+        # A plain dict: asking for an absent term's df stores nothing.
+        assert type(toy_corpus.postings) is dict
+        assert document_frequency(toy_corpus, "absent") == 0
+        assert toy_corpus.vocabulary == frozenset({"t1", "t2", "t3"})
 
 
 class TestVectorize:
