@@ -83,17 +83,20 @@ def load_stopwords(source) -> frozenset[str]:
 
 
 def load_stem_lexicon(source) -> dict[str, str]:
-    """Read a surface-to-stem TSV; the last entry for a surface form wins."""
+    """Read a surface-to-stem TSV; the last entry for a surface form wins.
+
+    Each line is split once at its first TAB; a line with no TAB, or with a
+    second one, raises ``LexiconFormatError``.
+    """
     entries: dict[str, str] = {}
     for number, line in _content_lines(source):
-        parts = line.split("\t")
-        if len(parts) != 2:
+        surface, tab, target = line.partition("\t")
+        if not tab or "\t" in target:
             raise LexiconFormatError(
                 f"expected exactly one TAB in {line!r}", line_number=number
             )
         # The line is stripped, so both sides hold a non-space character.
-        surface, target = (normalize(p.strip()) for p in parts)
-        entries[surface] = target
+        entries[normalize(surface.strip())] = normalize(target.strip())
     return entries
 
 

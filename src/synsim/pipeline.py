@@ -127,7 +127,13 @@ class _ChunkTerms(dict):
     """Memo from each whitespace chunk to its ``_chunk_terms``, for one setting.
 
     It is bound to one ``stopwords`` and one ``lexicon`` object, and a
-    chunk it has not seen is analysed on lookup, stored and returned.
+    chunk it has not seen is analysed on lookup, stored and returned. A
+    new chunk that ends in a non-letter ("word." after "word") takes the
+    entry of the chunk without that character when the memo holds it:
+    ``tokenize`` splits at every non-letter, so the last character adds no
+    token, and every later stage works per token. Only the chunk looked
+    up is stored, and only a held entry is reused, so each distinct chunk
+    is still analysed at most once.
     """
 
     __slots__ = ("stopwords", "lexicon")
@@ -138,7 +144,10 @@ class _ChunkTerms(dict):
         self.lexicon = lexicon
 
     def __missing__(self, chunk: str) -> tuple[str, ...]:
-        terms = self[chunk] = _chunk_terms(chunk, self.stopwords, self.lexicon)
+        # dict.get, unlike indexing, does not call __missing__ for the prefix.
+        if chunk[-1:].isalpha() or (terms := self.get(chunk[:-1])) is None:
+            terms = _chunk_terms(chunk, self.stopwords, self.lexicon)
+        self[chunk] = terms
         return terms
 
 
@@ -154,10 +163,12 @@ def preprocess(
     are matched on normalized surface forms, before stemming.
 
     ``terms`` memoizes the tuple of terms each whitespace chunk of the text
-    yields (see ``_chunk_terms``), so each distinct chunk is analysed once
-    and the chunks of a document are counted in one pass. It is a
-    ``_ChunkTerms(stopwords, lexicon)``, and calls may share it only when
-    they pass those same two objects; any other memo raises ``ValueError``.
+    yields (see ``_chunk_terms``), so each distinct chunk is analysed at
+    most once, a chunk ending in a non-letter whose prefix is memoised not
+    at all (see ``_ChunkTerms``), and the chunks of a document are counted
+    in one pass. It is a ``_ChunkTerms(stopwords, lexicon)``, and calls
+    may share it only when they pass those same two objects; any other
+    memo raises ``ValueError``.
     Without ``terms`` a fresh memo is used. Counts are in first-occurrence
     order either way.
     """

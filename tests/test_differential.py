@@ -20,10 +20,15 @@ count is positive, with several tables asked of one corpus.
 ``preprocess`` resolves each distinct whitespace chunk through a memo
 (to the tuple of terms it yields, possibly empty), counts a document's
 chunks in one pass and builds the document without the constructor's
-checks; its reference runs the stages one after another.
+checks; its reference runs the stages one after another. A new chunk
+that ends in a non-letter takes the memo entry of the chunk without that
+character, when the memo holds it, instead of being analysed; texts that
+mix pieces with their trailing-separator variants check that every entry
+still equals the chunk's own analysis.
 """
 
 import io
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,7 +55,8 @@ from synsim import (
     tokenize,
     vectorize,
 )
-from synsim.pipeline import _ChunkTerms
+import synsim.pipeline
+from synsim.pipeline import _ChunkTerms, _chunk_terms
 from synsim.weighting import _own_term_weights, reached_terms
 
 TERMS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta")
@@ -259,3 +265,48 @@ def test_preprocess_with_shared_memo_matches_plain_chain(pieces, data):
                 # the validating constructor accepts and equals.
                 assert type(out) is ProcessedDocument
                 assert out == ProcessedDocument(out.id, dict(out.counts), out.total_tokens)
+
+
+# Non-letters that may end a chunk whose prefix is a word: punctuation, a
+# superscript, a combining mark, "_", a digit and a hyphen.
+TRAILING = (".", ",", "!", "²", "\u0301", "_", "0", "-")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.text(ALPHABET.removesuffix(WHITESPACE), min_size=1, max_size=4),
+        min_size=1,
+        max_size=3,
+    ),
+    st.data(),
+)
+def test_preprocess_reuses_a_prefix_entry_only_where_exact(pieces, data):
+    # Each piece, and each piece followed by one or two separators, in any
+    # order, so a variant comes both before and after its bare piece.
+    variants = [p + s for p in pieces for s in ("", *TRAILING, *(t * 2 for t in TRAILING))]
+    texts = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(variants), max_size=12).map(" ".join),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    docs = [RawDocument(f"d{i}", text) for i, text in enumerate(texts)]
+    words = sorted({normalize(t) for text in texts for t in tokenize(text)}) or ["a"]
+    stopwords, lexicon = lexical_setting(data, words)
+    seen = []
+
+    def counted(chunk, stopwords, lexicon):
+        seen.append(chunk)
+        return _chunk_terms(chunk, stopwords, lexicon)
+
+    terms = _ChunkTerms(stopwords, lexicon)
+    with mock.patch.object(synsim.pipeline, "_chunk_terms", counted):
+        for doc in docs:
+            expected = listed(reference_preprocess(doc, stopwords, lexicon))
+            assert listed(preprocess(doc, stopwords, lexicon, terms)) == expected
+    assert len(seen) == len(set(seen))
+    assert set(terms) == {chunk for text in texts for chunk in text.split()}
+    for chunk, value in terms.items():
+        assert value == _chunk_terms(chunk, stopwords, lexicon)

@@ -101,8 +101,10 @@ def test_load_corpus_equals_per_document_preprocess(
 
 
 def test_load_corpus_analyses_each_distinct_chunk_once(tmp_path, monkeypatch):
+    # "y," comes before "y" and is analysed; "x," comes after "x" and takes
+    # its memo entry.
     directory = write_corpus(
-        tmp_path / "c", {"a": "x y, x x-y", "b": "y, z x-y", "c": "x y y, Z"}
+        tmp_path / "c", {"a": "x y, x x-y", "b": "y, z x-y x,", "c": "x y y, Z x,"}
     )
     seen = []
     chunk_terms = synsim.pipeline._chunk_terms

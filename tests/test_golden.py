@@ -16,6 +16,7 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 TRANSIT = FIXTURES / "corpus" / "transit"
 ORCHARD = FIXTURES / "corpus" / "orchard"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+TEXTS = Path(__file__).resolve().parent / "texts"
 
 FIXTURE_FLAGS = [
     "--stopwords", str(FIXTURES / "stopwords.txt"),
@@ -30,6 +31,8 @@ CASES = {
     "matrix.csv": ["matrix", str(TRANSIT), "a01", "--format", "csv"],
     "vector.txt": ["vector", str(TRANSIT), "a01"],
     "preprocess.txt": ["preprocess", str(TRANSIT / "a01.txt")],
+    # Words followed by separators, before and after their bare forms.
+    "preprocess-punctuation.txt": ["preprocess", str(TEXTS / "punctuation.txt")],
     "sim.txt": ["sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT)],
     "sim-traditional.txt": [
         "sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT),

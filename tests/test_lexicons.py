@@ -4,6 +4,8 @@ import io
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synsim import (
     LexiconFormatError,
@@ -12,6 +14,7 @@ from synsim import (
     load_stem_lexicon,
     load_stopwords,
     load_synonym_table,
+    normalize,
 )
 from synsim.weighting import reached_terms
 
@@ -75,6 +78,53 @@ def test_load_stem_lexicon_reports_later_line_numbers():
     with pytest.raises(LexiconFormatError) as err:
         load_stem_lexicon(io.StringIO("# comment\na\tb\n\nbroken line\n"))
     assert err.value.line_number == 4
+
+
+def split_stem_lexicon(text):
+    """The stem lexicon read by splitting each line into a list at every TAB."""
+    entries = {}
+    for number, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise LexiconFormatError(f"expected exactly one TAB in {line!r}", line_number=number)
+        surface, target = (normalize(p.strip()) for p in parts)
+        entries[surface] = target
+    return entries
+
+
+def outcome(read, text):
+    """The entries in order, or the error's message and line number."""
+    try:
+        return list(read(text).items())
+    except LexiconFormatError as err:
+        return str(err), err.line_number
+
+
+# Most sides are words; the rest may be empty, space-only, NBSP-padded or
+# start a comment.
+stem_sides = st.one_of(
+    st.text("aAİ", min_size=1, max_size=3), st.text("aAİ# \u00a0", max_size=4)
+)
+stem_lines = st.tuples(
+    stem_sides,
+    st.sampled_from(["", "\t", "\t", "\t", "\t\t"]),
+    stem_sides,
+    st.sampled_from(["\n", "\r\n"]),
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.booleans(), st.lists(stem_lines, max_size=6))
+def test_load_stem_lexicon_equals_the_split_reading(bom, lines):
+    # Lines with no, one or two TABs, both line endings and an optional
+    # byte-order mark.
+    text = "\ufeff" * bom + "".join(lines)
+    assert outcome(lambda t: load_stem_lexicon(io.StringIO(t)), text) == outcome(
+        split_stem_lexicon, text
+    )
 
 
 def test_load_synonym_table_rows_and_order():

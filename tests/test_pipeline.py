@@ -176,6 +176,15 @@ CHUNK_CASES = {
     "repeated-term-in-chunk": ["a-b-a", "b-a-b a"],
     "chunk-between-singles": ["b a-b-a", "a-b b"],
     "chunk-after-singles": ["c a c-a-b-c b"],
+    # A chunk that ends in a non-letter takes its memoised prefix's entry.
+    "word-then-punctuated": ["word word. word,"],
+    "punctuated-then-word": ["word. word"],
+    "digits-dot": ["584 584."],
+    "word-superscript": ["x x²"],
+    "word-combining-mark": ["cafe cafe\u0301"],
+    "word-two-dots": ["a a.."],
+    "stopword-dot": ["the the."],
+    "final-sigma-dot": ["ΑΣ ΑΣ."],
 }
 
 
@@ -189,12 +198,27 @@ def test_preprocess_chunk_cases_match_the_chain(case):
             assert type(out.counts) is dict
             assert list(out.counts.items()) == list(expected.counts.items())
             assert out.total_tokens == expected.total_tokens
+    # The memo holds the texts' chunks and nothing else.
+    assert set(shared) == {chunk for text in CHUNK_CASES[case] for chunk in text.split()}
 
 
 def test_preprocess_memo_maps_each_chunk_to_what_it_yields():
     terms = _ChunkTerms(STOPS, LEXICON)
     preprocess(RawDocument(id="d", text="The-of a-b x . Words."), STOPS, LEXICON, terms)
     assert terms == {"The-of": (), "a-b": ("a", "b"), "x": ("",), ".": (), "Words.": ("word",)}
+
+
+def test_memo_reuses_the_entry_of_a_memoised_prefix():
+    terms = _ChunkTerms(STOPS, LEXICON)
+    assert terms[""] == ()
+    assert terms["Words"] == ("word",)
+    # One character only: "Words.," has no memoised prefix, so it is
+    # analysed, and "Words." is not stored on the way.
+    assert terms["Words.,"] == ("word",)
+    assert terms["Words.,"] is not terms["Words"]
+    assert list(terms) == ["", "Words", "Words.,"]
+    assert terms["Words."] is terms["Words"]
+    assert terms["."] is terms[""]
 
 
 @pytest.mark.parametrize(
