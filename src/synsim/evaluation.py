@@ -28,11 +28,12 @@ from .pipeline import RawDocument, _ChunkTerms, preprocess
 from .similarity import MEASURES, similarity
 from .weighting import (
     Corpus,
-    DocumentVector,
     ModifiedIdf,
     WeightingConfig,
+    _in_order,
     _own_term_weights,
     _sum_left_to_right,
+    _with_reached,
     reached_terms,
     vectorize,
 )
@@ -221,27 +222,34 @@ def anchor_matrix(
     weighted under both schemes in one pass, the anchor's once per call,
     and each side of a pair adds only the other side's terms that it
     reaches; ``resolve_count`` is called only for a term that resolves to a
-    positive count. Scores are bit-identical to weighting both documents
-    over the pair union.
+    positive count. The anchor's own terms are sorted once per call and a
+    target's once per pair, and every vector of the pair takes its sorted
+    order from them, so no norm or dot product sorts. Scores are
+    bit-identical to weighting both documents over the pair union.
     """
     anchor = corpus.document(anchor_id)
     if not target_ids:
         raise CorpusError(f"anchor {anchor_id!r} has no targets to compare against")
     traditional, modified = config.weightings(corpus)
     table = modified.synonym_table
+    a_terms = sorted(anchor.counts)
     own_trad, a_own = _own_term_weights(anchor, corpus, traditional, modified)
-    a_trad = DocumentVector(own_trad)
+    a_trad = _in_order(own_trad, a_terms)
+    a_base = _in_order(a_own, a_terms)
+    candidates = table.candidates
+    a_linked = [t for t in anchor.counts if t in candidates]
     rows: list[PairResult] = []
     for target_id in target_ids:
         target = corpus.document(target_id)
+        b_terms = sorted(target.counts)
         own_trad, b_own = _own_term_weights(target, corpus, traditional, modified)
-        b_trad = DocumentVector(own_trad)
-        b_reached = reached_terms(anchor.counts, target, table)
-        b_own.update(vectorize(target, corpus, b_reached, modified).weights)
-        b_mod = DocumentVector(b_own)
+        b_trad = _in_order(own_trad, b_terms)
+        b_reached = reached_terms(a_linked, target, table)
+        reached = vectorize(target, corpus, b_reached, modified).weights
+        b_mod = _with_reached(_in_order(b_own, b_terms), reached)
         a_reached = reached_terms(target.counts, anchor, table)
         reached = vectorize(anchor, corpus, a_reached, modified).weights
-        a_mod = DocumentVector({**a_own, **reached})
+        a_mod = _with_reached(a_base, reached)
         for measure in measures:
             traditional_value = similarity(measure, a_trad, b_trad).value
             modified_value = similarity(measure, a_mod, b_mod).value

@@ -202,10 +202,11 @@ def reached_terms(
     outside ``doc`` resolves to zero there. Order follows ``terms``.
     """
     counts, candidates = doc.counts, table.candidates
+    present = counts.keys()
     return [
         t
         for t in terms
-        if t not in counts and not counts.keys().isdisjoint(candidates.get(t, ()))
+        if (row := candidates.get(t)) and t not in counts and not present.isdisjoint(row)
     ]
 
 
@@ -299,18 +300,51 @@ def build_vocabulary(a: ProcessedDocument, b: ProcessedDocument) -> tuple[str, .
 
 @dataclass(frozen=True)
 class DocumentVector:
-    """Sparse TF-IDF vector: ``weights``, its only field; missing terms are zero."""
+    """Sparse TF-IDF vector: ``weights``, its only field; missing terms are zero.
+
+    Its stored terms in sorted order are found once, on first use, and
+    shared by :attr:`norm_squared` and every dot product that walks them.
+    """
 
     weights: Mapping[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def _ordered(cls, weights: Mapping[str, float], terms: tuple[str, ...]) -> "DocumentVector":
+        """Build without sorting: the caller guarantees ``terms == tuple(sorted(weights))``."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "weights", weights)
+        object.__setattr__(vector, "_terms", terms)
+        return vector
 
     def get(self, term: str) -> float:
         return self.weights.get(term, 0.0)
 
     @cached_property
+    def _terms(self) -> tuple[str, ...]:
+        return tuple(sorted(self.weights))
+
+    @cached_property
     def norm_squared(self) -> float:
         """Sum of the squared weights in sorted term order, computed once."""
-        w = list(map(self.weights.__getitem__, sorted(self.weights)))
+        w = list(map(self.weights.__getitem__, self._terms))
         return _sum_left_to_right(map(operator.mul, w, w))
+
+
+def _in_order(weights: Mapping[str, float], terms: Iterable[str]) -> DocumentVector:
+    """Vector of ``weights``, its order read off ``terms``, sorted and holding every key."""
+    return DocumentVector._ordered(weights, tuple(filter(weights.__contains__, terms)))
+
+
+def _with_reached(vector: DocumentVector, reached: Mapping[str, float]) -> DocumentVector:
+    """``vector`` plus ``reached``, weights of terms that it does not store.
+
+    Its sorted terms plus the few reached ones form a sorted run and a short
+    tail, which ``sorted`` merges in about linear time.
+    """
+    if not reached:
+        return vector
+    terms = tuple(sorted([*vector._terms, *reached]))
+    return DocumentVector._ordered({**vector.weights, **reached}, terms)
 
 
 def vectorize(

@@ -5,8 +5,10 @@ and, per pair, resolve only the other side's terms that each side reaches
 through a synonym candidate (``reached_terms``). The reference below
 is the direct reading of the scheme: vectorize both documents over the
 pair's term union under both weightings, on a corpus of its own (so it
-shares no idf memo with the scorer under test), then run each measure.
-Every score must agree bit for bit.
+shares no idf memo with the scorer under test), then compute each measure
+with plain left-to-right loops over that union, sharing no dot product,
+norm or sorted term order with ``synsim.similarity``. Every score must
+agree bit for bit.
 
 Each document's own terms are weighted under both schemes in one pass
 (``_own_term_weights``); that pass is checked against ``vectorize`` over
@@ -28,6 +30,7 @@ still equals the chunk's own analysis.
 """
 
 import io
+import math
 from unittest import mock
 
 from hypothesis import given, settings
@@ -50,7 +53,6 @@ from synsim import (
     normalize,
     preprocess,
     resolve_count,
-    similarity,
     stem,
     tokenize,
     vectorize,
@@ -79,10 +81,30 @@ def reference_scores(corpus, id_a, id_b, measure, config):
     )
     scores = []
     for weighting in (traditional, modified):
-        x = vectorize(a, fresh, vocabulary, weighting)
-        y = vectorize(b, fresh, vocabulary, weighting)
-        scores.append(similarity(measure, x, y).value.hex())
+        x = vectorize(a, fresh, vocabulary, weighting).weights
+        y = vectorize(b, fresh, vocabulary, weighting).weights
+        scores.append(reference_measure(measure, x, y, vocabulary).hex())
     return tuple(scores)
+
+
+def reference_measure(measure, x, y, vocabulary):
+    """``measure`` of the weight maps ``x`` and ``y``, added left to right over
+    their sorted term union ``vocabulary``; a term one side lacks adds ``+0.0``."""
+    xy = xx = yy = 0.0
+    for term in vocabulary:
+        a, b = x.get(term, 0.0), y.get(term, 0.0)
+        xy += a * b
+        xx += a * a
+        yy += b * b
+    if measure == "cosine":
+        nx, ny = math.sqrt(xx), math.sqrt(yy)
+        return 0.0 if nx == 0.0 or ny == 0.0 else min(xy / (nx * ny), 1.0)
+    if measure == "jaccard":
+        denominator = xx + yy - xy
+        return 0.0 if denominator == 0.0 else min(xy / denominator, 1.0)
+    assert measure == "dice"
+    denominator = xx + yy
+    return 0.0 if denominator == 0.0 else min(2.0 * xy / denominator, 1.0)
 
 
 def hexed(result):

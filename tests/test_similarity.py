@@ -53,21 +53,41 @@ def test_dot_and_norm_add_left_to_right():
 
 def test_dot_and_jaccard_match_union_sums_bitwise():
     # Summing the key intersection equals summing the union: a term stored
-    # on one side only adds +0.0.
+    # on one side only adds +0.0. dot walks the shorter side's terms, so
+    # both argument orders are checked; stored zeros of either sign are
+    # stored terms, and each adds a signed zero.
     rng = np.random.default_rng(7)
-    for _ in range(200):
+    for i in range(200):
         x, y = random_pair(rng)
         x = {t: w for t, w in x.items() if w}
         y = {t: w for t, w in y.items() if w and rng.random() < 0.8}
+        if i % 2:
+            x.update(z0=0.0, z1=-0.0, z2=-0.0)
+            y.update(z1=float(rng.uniform(0.0, 5.0)), z2=-0.0)
         union = added_in_order(
             x.get(t, 0.0) * y.get(t, 0.0) for t in sorted(set(x) | set(y))
         )
         assert dot(x, y).hex() == float(union).hex()
+        assert dot(y, x).hex() == float(union).hex()
         xx = added_in_order(x[t] * x[t] for t in sorted(x))
         yy = added_in_order(y[t] * y[t] for t in sorted(y))
         s = dot(x, y)
         if xx + yy - s:
             assert jaccard(x, y).hex() == min(s / (xx + yy - s), 1.0).hex()
+
+
+def test_vector_built_with_its_sorted_terms_equals_the_plain_one():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        x, y = random_pair(rng)
+        x.update(z0=0.0, z1=-0.0)
+        plain = DocumentVector(x)
+        ordered = DocumentVector._ordered(dict(x), tuple(sorted(x)))
+        assert ordered == plain
+        assert ordered.norm_squared.hex() == plain.norm_squared.hex()
+        other = DocumentVector(y)
+        assert dot(ordered, other).hex() == dot(plain, other).hex()
+        assert dot(other, ordered).hex() == dot(other, plain).hex()
 
 
 def test_cosine_identical():
