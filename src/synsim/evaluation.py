@@ -28,12 +28,10 @@ from .pipeline import RawDocument, _ChunkTerms, preprocess
 from .similarity import MEASURES, similarity
 from .weighting import (
     Corpus,
+    DocumentVector,
     ModifiedIdf,
     WeightingConfig,
-    _in_order,
-    _own_term_weights,
     _sum_left_to_right,
-    _with_reached,
     reached_terms,
     vectorize,
 )
@@ -218,14 +216,15 @@ def anchor_matrix(
     never on the pair; the pair only keeps the union of the two documents'
     terms. Outside its own terms, a document can carry a modified weight
     only for a term with a synonym candidate in it (``reached_terms``, read
-    from ``SynonymTable.candidates``). So each document's own terms are
-    weighted under both schemes in one pass, the anchor's once per call,
-    and each side of a pair adds only the other side's terms that it
+    from ``SynonymTable.candidates``). So the anchor's own terms are
+    weighted under both schemes once per call. Per target, the target is
+    weighted over its own terms plus, in the modified scheme, the anchor's
+    terms that it reaches, and the anchor adds the target's terms that it
     reaches; ``resolve_count`` is called only for a term that resolves to a
-    positive count. The anchor's own terms are sorted once per call and a
-    target's once per pair, and every vector of the pair takes its sorted
-    order from them, so no norm or dot product sorts. Scores are
-    bit-identical to weighting both documents over the pair union.
+    positive count. Every weight comes from ``vectorize`` over a sorted
+    vocabulary, so each vector's one sort of its terms is about linear.
+    Scores are bit-identical to weighting both documents over the pair
+    union.
     """
     anchor = corpus.document(anchor_id)
     if not target_ids:
@@ -233,23 +232,20 @@ def anchor_matrix(
     traditional, modified = config.weightings(corpus)
     table = modified.synonym_table
     a_terms = sorted(anchor.counts)
-    own_trad, a_own = _own_term_weights(anchor, corpus, traditional, modified)
-    a_trad = _in_order(own_trad, a_terms)
-    a_base = _in_order(a_own, a_terms)
+    a_trad = vectorize(anchor, corpus, a_terms, traditional)
+    a_own = vectorize(anchor, corpus, a_terms, modified)
     candidates = table.candidates
     a_linked = [t for t in anchor.counts if t in candidates]
     rows: list[PairResult] = []
     for target_id in target_ids:
         target = corpus.document(target_id)
         b_terms = sorted(target.counts)
-        own_trad, b_own = _own_term_weights(target, corpus, traditional, modified)
-        b_trad = _in_order(own_trad, b_terms)
+        b_trad = vectorize(target, corpus, b_terms, traditional)
         b_reached = reached_terms(a_linked, target, table)
-        reached = vectorize(target, corpus, b_reached, modified).weights
-        b_mod = _with_reached(_in_order(b_own, b_terms), reached)
+        b_mod = vectorize(target, corpus, [*b_terms, *b_reached], modified)
         a_reached = reached_terms(target.counts, anchor, table)
         reached = vectorize(anchor, corpus, a_reached, modified).weights
-        a_mod = _with_reached(a_base, reached)
+        a_mod = DocumentVector({**a_own.weights, **reached}) if reached else a_own
         for measure in measures:
             traditional_value = similarity(measure, a_trad, b_trad).value
             modified_value = similarity(measure, a_mod, b_mod).value

@@ -283,16 +283,6 @@ def _sum_left_to_right(values: Iterable[float]) -> float:
     return reduce(operator.add, values, 0.0)
 
 
-def _fill_idf(
-    idfs: dict[str, float], corpus: Corpus, term: str, config: WeightingConfig
-) -> float:
-    """Compute ``term``'s idf under ``config`` and store it in its memo ``idfs``."""
-    value = idfs[term] = idf(
-        corpus, term, config.idf_mode, config.smoothing, config.synonym_table
-    )
-    return value
-
-
 def build_vocabulary(a: ProcessedDocument, b: ProcessedDocument) -> tuple[str, ...]:
     """Shared component order for a document pair: sorted union of terms."""
     return tuple(sorted(set(a.counts) | set(b.counts)))
@@ -308,14 +298,6 @@ class DocumentVector:
 
     weights: Mapping[str, float] = field(default_factory=dict)
 
-    @classmethod
-    def _ordered(cls, weights: Mapping[str, float], terms: tuple[str, ...]) -> "DocumentVector":
-        """Build without sorting: the caller guarantees ``terms == tuple(sorted(weights))``."""
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "weights", weights)
-        object.__setattr__(vector, "_terms", terms)
-        return vector
-
     def get(self, term: str) -> float:
         return self.weights.get(term, 0.0)
 
@@ -330,23 +312,6 @@ class DocumentVector:
         return _sum_left_to_right(map(operator.mul, w, w))
 
 
-def _in_order(weights: Mapping[str, float], terms: Iterable[str]) -> DocumentVector:
-    """Vector of ``weights``, its order read off ``terms``, sorted and holding every key."""
-    return DocumentVector._ordered(weights, tuple(filter(weights.__contains__, terms)))
-
-
-def _with_reached(vector: DocumentVector, reached: Mapping[str, float]) -> DocumentVector:
-    """``vector`` plus ``reached``, weights of terms that it does not store.
-
-    Its sorted terms plus the few reached ones form a sorted run and a short
-    tail, which ``sorted`` merges in about linear time.
-    """
-    if not reached:
-        return vector
-    terms = tuple(sorted([*vector._terms, *reached]))
-    return DocumentVector._ordered({**vector.weights, **reached}, terms)
-
-
 def vectorize(
     doc: ProcessedDocument,
     corpus: Corpus,
@@ -359,58 +324,26 @@ def vectorize(
     resolved document frequency (unless ``modified_idf`` is "raw"). Zero
     weights are not stored. Each term's idf is computed once per corpus
     and setting, and read from :meth:`Corpus.idf_memo` afterwards.
+
+    The weights keep ``vocabulary`` order. The vector sorts its terms once,
+    on first use, so a sorted ``vocabulary`` makes that sort about linear.
     """
     modified = config.mode == "modified"
-    idfs = corpus.idf_memo(config.idf_mode, config.smoothing, config.synonym_table)
-    counts = doc.counts
+    idf_mode, smoothing, table = config.idf_mode, config.smoothing, config.synonym_table
+    idfs = corpus.idf_memo(idf_mode, smoothing, table)
+    counts, total = doc.counts, doc.total_tokens
     weights: dict[str, float] = {}
     for term in vocabulary:
         count = counts.get(term, 0)
         if count == 0 and modified:
-            count = resolve_count(term, doc, config.synonym_table).count
+            count = resolve_count(term, doc, table).count
         if count == 0:
             continue
         term_idf = idfs.get(term)
         if term_idf is None:
-            term_idf = _fill_idf(idfs, corpus, term, config)
-        weight = tf(count, doc.total_tokens) * term_idf
+            term_idf = idfs[term] = idf(corpus, term, idf_mode, smoothing, table)
+        # A positive count means a nonempty document, so this is tf().
+        weight = count / total * term_idf
         if weight != 0.0:
             weights[term] = weight
     return DocumentVector(weights)
-
-
-def _own_term_weights(
-    doc: ProcessedDocument,
-    corpus: Corpus,
-    traditional: WeightingConfig,
-    modified: WeightingConfig,
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Weights of ``doc``'s own terms under two weightings, in one pass.
-
-    Each map equals ``vectorize(doc, corpus, tuple(doc.counts), config).weights``
-    for its config, key order included. An own term's count is positive,
-    so the modified scheme resolves it to itself: both weights share one
-    tf, and only their idf differs, read from the memos ``vectorize`` reads.
-    """
-    total = doc.total_tokens
-    t_idfs = corpus.idf_memo(
-        traditional.idf_mode, traditional.smoothing, traditional.synonym_table
-    )
-    m_idfs = corpus.idf_memo(modified.idf_mode, modified.smoothing, modified.synonym_table)
-    t_weights: dict[str, float] = {}
-    m_weights: dict[str, float] = {}
-    for term, count in doc.counts.items():
-        term_tf = count / total
-        t_idf = t_idfs.get(term)
-        if t_idf is None:
-            t_idf = _fill_idf(t_idfs, corpus, term, traditional)
-        m_idf = m_idfs.get(term)
-        if m_idf is None:
-            m_idf = _fill_idf(m_idfs, corpus, term, modified)
-        weight = term_tf * t_idf
-        if weight != 0.0:
-            t_weights[term] = weight
-        weight = term_tf * m_idf
-        if weight != 0.0:
-            m_weights[term] = weight
-    return t_weights, m_weights

@@ -120,26 +120,51 @@ def test_fixture_pair_boost_shows_in_sim(capsys):
         assert float(parts["modified"]) > float(parts["traditional"])
 
 
+def count_vectorize_calls(monkeypatch) -> list:
+    """Record ``(document, vocabulary)`` of every ``vectorize`` call that scoring makes."""
+    calls = []
+    vectorize = synsim.evaluation.vectorize
+
+    def counted(doc, corpus, vocabulary, config):
+        calls.append((doc, tuple(vocabulary)))
+        return vectorize(doc, corpus, vocabulary, config)
+
+    monkeypatch.setattr(synsim.evaluation, "vectorize", counted)
+    return calls
+
+
 def test_sim_weights_the_anchor_once_for_every_measure(capsys, monkeypatch):
-    calls = {"_own_term_weights": [], "vectorize": []}
-    for name, seen in calls.items():
-        function = getattr(synsim.evaluation, name)
-
-        def counted(*args, function=function, seen=seen, **kwargs):
-            seen.append(args[0].id)
-            return function(*args, **kwargs)
-
-        monkeypatch.setattr(synsim.evaluation, name, counted)
+    calls = count_vectorize_calls(monkeypatch)
     code, out, _ = run(
         capsys, "sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT),
         *FIXTURE_FLAGS, "--measures", "cosine,jaccard,dice",
     )
     assert code == 0
     assert len(out.splitlines()) == 3
-    # One pass weights each side's own terms under both schemes; then each
-    # side weights the terms of the other that it reaches through a synonym.
-    assert calls["_own_term_weights"] == ["a01", "a02"]
-    assert sorted(calls["vectorize"]) == ["a01", "a02"]
+    # The anchor: its own terms under both schemes, then the target's terms
+    # that it reaches. The target: its own terms, traditional, and its own
+    # terms plus the anchor's that it reaches, modified.
+    assert sorted(doc.id for doc, _ in calls) == ["a01", "a01", "a01", "a02", "a02"]
+
+
+@pytest.mark.parametrize("measures", ["cosine", "cosine,jaccard,dice"])
+@pytest.mark.parametrize("n_docs", [3, 10])
+def test_matrix_weights_the_anchor_own_terms_twice_per_call(
+    capsys, monkeypatch, tmp_path, measures, n_docs
+):
+    for path in sorted(TRANSIT.glob("*.txt"))[:n_docs]:
+        shutil.copy(path, tmp_path)
+    calls = count_vectorize_calls(monkeypatch)
+    code, _, _ = run(capsys, "matrix", str(tmp_path), "a01", *FIXTURE_FLAGS, "--measures", measures)
+    assert code == 0
+    anchor_calls = [(doc, terms) for doc, terms in calls if doc.id == "a01"]
+    own = [terms for doc, terms in anchor_calls if terms == tuple(sorted(doc.counts))]
+    reached = [terms for doc, terms in anchor_calls if not set(terms) & set(doc.counts)]
+    assert len(own) == 2
+    assert len(reached) == n_docs - 1
+    assert len(anchor_calls) == 2 + (n_docs - 1)
+    # Each target is weighted twice, once per scheme.
+    assert len(calls) - len(anchor_calls) == 2 * (n_docs - 1)
 
 
 def test_unknown_measure_exits_64(small_setup, capsys):

@@ -1,18 +1,14 @@
 """Differential tests: fast paths against plain references kept here.
 
 ``compare_pair`` and ``anchor_matrix`` weight the anchor's own terms once
-and, per pair, resolve only the other side's terms that each side reaches
-through a synonym candidate (``reached_terms``). The reference below
+per call and, per pair, resolve only the other side's terms that each side
+reaches through a synonym candidate (``reached_terms``). The reference below
 is the direct reading of the scheme: vectorize both documents over the
 pair's term union under both weightings, on a corpus of its own (so it
 shares no idf memo with the scorer under test), then compute each measure
 with plain left-to-right loops over that union, sharing no dot product,
 norm or sorted term order with ``synsim.similarity``. Every score must
 agree bit for bit.
-
-Each document's own terms are weighted under both schemes in one pass
-(``_own_term_weights``); that pass is checked against ``vectorize`` over
-the document's own terms.
 
 ``document_frequency`` reads the corpus's posting lists and memoises a
 modified df per synonym row on the corpus; it is checked against the
@@ -59,7 +55,7 @@ from synsim import (
 )
 import synsim.pipeline
 from synsim.pipeline import _ChunkTerms, _chunk_terms
-from synsim.weighting import _own_term_weights, reached_terms
+from synsim.weighting import reached_terms
 
 TERMS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta")
 
@@ -209,23 +205,6 @@ def test_modified_df_memo_serves_each_row_and_table_its_own(term_lists, first, s
             assert document_frequency(corpus, term, "modified", table) == sum(
                 resolve_count(term, doc, table).count > 0 for doc in corpus
             )
-
-
-@settings(max_examples=150, deadline=None)
-@given(documents, tables, st.sampled_from(("resolved", "raw")))
-def test_own_term_weights_equal_vectorize_over_own_terms(term_lists, table, modified_idf):
-    corpus = build_corpus(term_lists, table)
-    fresh = build_corpus(term_lists, table)
-    configs = (
-        WeightingConfig(mode="traditional"),
-        WeightingConfig(mode="modified", synonym_table=table, modified_idf=modified_idf),
-    )
-    for doc in corpus:
-        got = _own_term_weights(doc, corpus, *configs)
-        expected = [vectorize(doc, fresh, tuple(doc.counts), c).weights for c in configs]
-        assert [[(t, w.hex()) for t, w in m.items()] for m in got] == [
-            [(t, w.hex()) for t, w in m.items()] for m in expected
-        ]
 
 
 # Every whitespace class str.split uses, and U+200B, which is not whitespace.

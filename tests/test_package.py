@@ -1,6 +1,11 @@
-"""The package's public names."""
+"""The package's public names, and no dead code behind them."""
+
+import ast
+from pathlib import Path
 
 import synsim
+
+PACKAGE = Path(synsim.__file__).parent
 
 
 def test_star_import_binds_exactly_all():
@@ -10,3 +15,46 @@ def test_star_import_binds_exactly_all():
     exec("from synsim import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(synsim.__all__)
+
+
+def imported_but_unused(tree: ast.Module) -> set[str]:
+    """Names a module binds by import and never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    return imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def unreferenced_private_definitions(trees) -> set[str]:
+    """Private functions, classes and methods, dunders aside, that no code names."""
+    defined, referenced = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    private = {n for n in defined if n.startswith("_") and not n.endswith("__")}
+    return private - referenced
+
+
+def test_package_imports_no_unused_name_and_defines_no_dead_private_code():
+    planted = ast.parse(
+        "import os.path\nfrom x import y as z\nimport sys\n"
+        "def _dead(): pass\nclass _Live:\n    def _method(self): pass\n"
+        "sys.exit(_Live)\n"
+    )
+    assert imported_but_unused(planted) == {"os", "z"}
+    assert unreferenced_private_definitions([planted]) == {"_dead", "_method"}
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    # __init__.py imports names to re-export them.
+    unused = {n: imported_but_unused(t) for n, t in trees.items() if n != "__init__.py"}
+    assert {n: names for n, names in unused.items() if names} == {}
+    assert unreferenced_private_definitions(trees.values()) == set()

@@ -76,20 +76,6 @@ def test_dot_and_jaccard_match_union_sums_bitwise():
             assert jaccard(x, y).hex() == min(s / (xx + yy - s), 1.0).hex()
 
 
-def test_vector_built_with_its_sorted_terms_equals_the_plain_one():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        x, y = random_pair(rng)
-        x.update(z0=0.0, z1=-0.0)
-        plain = DocumentVector(x)
-        ordered = DocumentVector._ordered(dict(x), tuple(sorted(x)))
-        assert ordered == plain
-        assert ordered.norm_squared.hex() == plain.norm_squared.hex()
-        other = DocumentVector(y)
-        assert dot(ordered, other).hex() == dot(plain, other).hex()
-        assert dot(other, ordered).hex() == dot(other, plain).hex()
-
-
 def test_cosine_identical():
     v = vec([0.3, 1.2])
     assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)

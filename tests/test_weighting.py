@@ -27,7 +27,6 @@ from synsim import (
     tf,
     vectorize,
 )
-from synsim.weighting import _own_term_weights
 
 
 def make_doc(doc_id: str, terms: list[str]) -> ProcessedDocument:
@@ -286,14 +285,14 @@ class TestVectorize:
     def test_raw_idf_variant_changes_only_idf(self):
         corpus = Corpus(
             [
-                make_doc("d1", ["a0"]),
-                make_doc("d2", ["x", "a1"]),
-                make_doc("d3", ["y"]),
-                make_doc("d4", ["z"]),
+                make_doc("d1", ["a0", "all"]),
+                make_doc("d2", ["x", "a1", "all"]),
+                make_doc("d3", ["y", "all"]),
+                make_doc("d4", ["z", "all"]),
             ]
         )
         table = table_from("A0,A1\n")
-        vocabulary = ("a0",)
+        vocabulary = ("a0", "all")
         doc = corpus.document("d2")
         resolved_vec = vectorize(
             doc, corpus, vocabulary,
@@ -303,9 +302,13 @@ class TestVectorize:
             doc, corpus, vocabulary,
             WeightingConfig(mode="modified", synonym_table=table, modified_idf="raw"),
         )
-        # same resolved TF of 1/2; df 2 vs 1 under the two variants
-        assert resolved_vec.get("a0") == pytest.approx(0.5 * math.log2(4 / 2))
-        assert raw_vec.get("a0") == pytest.approx(0.5 * math.log2(4 / 1))
+        trad_vec = vectorize(doc, corpus, vocabulary, WeightingConfig(mode="traditional"))
+        # same resolved TF of 1/3; df 2 vs 1 under the two variants
+        assert resolved_vec.get("a0") == pytest.approx((1 / 3) * math.log2(4 / 2))
+        assert raw_vec.get("a0") == pytest.approx((1 / 3) * math.log2(4 / 1))
+        # "all" is in every document: its idf is 0, so no scheme stores it.
+        for vec in (resolved_vec, raw_vec, trad_vec):
+            assert "all" not in vec.weights
 
     def test_modified_mode_requires_a_table(self):
         with pytest.raises(ConfigError):
@@ -322,30 +325,6 @@ class TestVectorize:
         for _ in range(2):
             with pytest.raises(ZeroDocumentFrequencyError):
                 vectorize(outsider, toy_corpus, vocabulary, WeightingConfig(smoothing="none"))
-
-    @pytest.mark.parametrize("modified_idf", ["resolved", "raw"])
-    def test_own_term_weights_equal_vectorize_over_own_terms(self, modified_idf):
-        docs = [
-            make_doc("d1", ["all", "a0", "a0", "x"]),
-            make_doc("d2", ["all", "a1", "y"]),
-            make_doc("d3", ["y", "all", "y"]),
-        ]
-        corpus = Corpus(docs)
-        # The expected maps come from a corpus that shares no memo.
-        fresh = Corpus(docs)
-        table = table_from("A0,A1\n")
-        configs = (
-            WeightingConfig(mode="traditional"),
-            WeightingConfig(mode="modified", synonym_table=table, modified_idf=modified_idf),
-        )
-        for doc in docs:
-            got = _own_term_weights(doc, corpus, *configs)
-            expected = [vectorize(doc, fresh, tuple(doc.counts), c).weights for c in configs]
-            assert [[(t, w.hex()) for t, w in m.items()] for m in got] == [
-                [(t, w.hex()) for t, w in m.items()] for m in expected
-            ]
-            # "all" is in every document: its idf is 0, so both maps drop it.
-            assert all("all" not in m for m in got)
 
     def test_idf_memo_is_keyed_by_setting_and_table(self, toy_corpus):
         table = table_from("t1,t2\n")
