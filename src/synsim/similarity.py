@@ -1,9 +1,17 @@
 """Cosine, Jaccard, and Dice similarity over sparse weight vectors.
 
-All three are symmetric and, for vectors with nonnegative components, land
-in [0, 1] with value 1 on identical nonzero vectors. Any measure involving
-a zero vector is defined as 0 (no evidence of similarity), which keeps the
-functions total on empty documents.
+:func:`similarity` computes all three, each as a numerator over a
+denominator of ``s = dot(x, y)`` and the squared norms ``xx`` and ``yy``:
+
+* cosine: ``s / (sqrt(xx) * sqrt(yy))``, 0 when either norm is 0;
+* Jaccard: ``s / (xx + yy - s)``, 0 when that denominator is 0;
+* Dice: ``2.0 * s / (xx + yy)``, 0 when that denominator is 0.
+
+Every value is capped at 1.0. For vectors with nonnegative components the
+measures are symmetric, land in [0, 1], are 1 on identical nonzero vectors
+and 0 when either vector is zero, so empty documents score 0.
+:func:`cosine`, :func:`jaccard` and :func:`dice` equal
+``similarity(name, x, y).value``.
 
 Functions accept either a :class:`~synsim.weighting.DocumentVector` or a
 plain term-to-weight mapping. Accumulation always runs left to right in
@@ -36,12 +44,6 @@ def _vector(v) -> DocumentVector:
     return DocumentVector(weights=v)
 
 
-def _cap(value: float) -> float:
-    # Scores are provably <= 1 for nonnegative inputs; min() only absorbs
-    # float rounding overshoot on near-identical vectors.
-    return min(value, 1.0)
-
-
 def dot(x, y) -> float:
     """Inner product over the terms stored on both sides, in sorted order.
 
@@ -58,39 +60,36 @@ def dot(x, y) -> float:
     return _sum_left_to_right(map(mul, map(xw.__getitem__, shared), map(yw.__getitem__, shared)))
 
 
-def cosine(x, y) -> float:
-    """dot(x, y) / (|x| * |y|); 0 when either vector is zero."""
+def similarity(measure: str, x, y) -> SimilarityScore:
+    """The named measure of ``x`` and ``y``, by the rules in the module docstring."""
+    check_choice("measure", measure, MEASURES)
     x, y = _vector(x), _vector(y)
-    nx = math.sqrt(x.norm_squared)
-    ny = math.sqrt(y.norm_squared)
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return _cap(dot(x, y) / (nx * ny))
+    s, xx, yy = dot(x, y), x.norm_squared, y.norm_squared
+    if measure == "cosine":
+        nx, ny = math.sqrt(xx), math.sqrt(yy)
+        numerator, denominator = s, nx * ny
+        zero = nx == 0.0 or ny == 0.0
+    elif measure == "jaccard":
+        numerator, denominator = s, xx + yy - s
+        zero = denominator == 0.0
+    else:
+        numerator, denominator = 2.0 * s, xx + yy
+        zero = denominator == 0.0
+    # min() only absorbs float rounding overshoot on near-identical vectors.
+    value = 0.0 if zero else min(numerator / denominator, 1.0)
+    return SimilarityScore(value=value, measure=measure)
+
+
+def cosine(x, y) -> float:
+    """``similarity("cosine", x, y).value``."""
+    return similarity("cosine", x, y).value
 
 
 def jaccard(x, y) -> float:
-    """dot(x, y) / (|x|^2 + |y|^2 - dot(x, y)); 0 when both vectors are zero."""
-    x, y = _vector(x), _vector(y)
-    s = dot(x, y)
-    denominator = x.norm_squared + y.norm_squared - s
-    if denominator == 0.0:
-        return 0.0
-    return _cap(s / denominator)
+    """``similarity("jaccard", x, y).value``."""
+    return similarity("jaccard", x, y).value
 
 
 def dice(x, y) -> float:
-    """2 * dot(x, y) / (|x|^2 + |y|^2); 0 when both vectors are zero."""
-    x, y = _vector(x), _vector(y)
-    denominator = x.norm_squared + y.norm_squared
-    if denominator == 0.0:
-        return 0.0
-    return _cap(2.0 * dot(x, y) / denominator)
-
-
-_MEASURE_FUNCTIONS = {"cosine": cosine, "jaccard": jaccard, "dice": dice}
-
-
-def similarity(measure: str, x, y) -> SimilarityScore:
-    """Dispatch to one of the named measures."""
-    check_choice("measure", measure, MEASURES)
-    return SimilarityScore(value=_MEASURE_FUNCTIONS[measure](x, y), measure=measure)
+    """``similarity("dice", x, y).value``."""
+    return similarity("dice", x, y).value

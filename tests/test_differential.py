@@ -3,12 +3,16 @@
 ``compare_pair`` and ``anchor_matrix`` weight the anchor's own terms once
 per call and, per pair, resolve only the other side's terms that each side
 reaches through a synonym candidate (``reached_terms``). The reference below
-is the direct reading of the scheme: vectorize both documents over the
-pair's term union under both weightings, on a corpus of its own (so it
-shares no idf memo with the scorer under test), then compute each measure
-with plain left-to-right loops over that union, sharing no dot product,
-norm or sorted term order with ``synsim.similarity``. Every score must
-agree bit for bit.
+is the direct reading of the scheme and calls none of synsim's weighting
+code: it weights both documents over the pair's term union under both
+schemes with ``count / total * log2(n / df)``, finding a resolved count by
+scanning the synonym rows for the lowest one holding the term and a df by
+scanning every document, then computes each measure with plain
+left-to-right loops over that union, sharing no dot product, norm or
+sorted term order with ``synsim.similarity``. Every score must agree bit
+for bit. Metamorphic properties check that the scores do not depend on
+the corpus's document order, on a synonym row no document reaches, or on
+whether the corpus's own table is named explicitly.
 
 ``document_frequency`` reads the corpus's posting lists and memoises a
 modified df per synonym row on the corpus; it is checked against the
@@ -39,9 +43,7 @@ from synsim import (
     ProcessedDocument,
     RawDocument,
     SynonymTable,
-    WeightingConfig,
     anchor_matrix,
-    build_vocabulary,
     compare_pair,
     document_frequency,
     filter_stopwords,
@@ -51,7 +53,6 @@ from synsim import (
     resolve_count,
     stem,
     tokenize,
-    vectorize,
 )
 import synsim.pipeline
 from synsim.pipeline import _ChunkTerms, _chunk_terms
@@ -60,25 +61,50 @@ from synsim.weighting import reached_terms
 TERMS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta")
 
 
+def reference_count(term, doc, mode, rows):
+    """``term``'s count in ``doc``. In modified mode a term ``doc`` lacks
+    takes the count of the first other term of the lowest row holding it,
+    in row order, that ``doc`` holds."""
+    count = doc.counts.get(term, 0)
+    if count or mode == "traditional":
+        return count
+    for row in rows:
+        if term in row:
+            for other in row:
+                if other != term and doc.counts.get(other, 0):
+                    return doc.counts[other]
+            return 0
+    return 0
+
+
+def reference_weights(doc, docs, vocabulary, mode, rows, modified_idf):
+    """TF-IDF weights of ``doc`` over ``vocabulary`` among ``docs``, zeros left out."""
+    df_mode = mode if modified_idf == "resolved" else "traditional"
+    weights = {}
+    for term in vocabulary:
+        count = reference_count(term, doc, mode, rows)
+        if count == 0:
+            continue
+        df = sum(reference_count(term, d, df_mode, rows) > 0 for d in docs)
+        # A pair's terms occur in a document of the corpus: doc itself.
+        assert df >= 1
+        weight = count / doc.total_tokens * math.log2(len(docs) / df)
+        if weight != 0.0:
+            weights[term] = weight
+    return weights
+
+
 def reference_scores(corpus, id_a, id_b, measure, config):
     """(traditional, modified) of one pair, recomputed from scratch."""
-    fresh = Corpus(corpus.docs, synonym_table=corpus.synonym_table)
-    a, b = fresh.document(id_a), fresh.document(id_b)
-    vocabulary = build_vocabulary(a, b)
-    table = config.synonym_table if config.synonym_table is not None else fresh.synonym_table
-    # Smoothing "none" raises on a term of document frequency zero, which a
-    # pair's own terms never have.
-    traditional = WeightingConfig(mode="traditional", smoothing="none")
-    modified = WeightingConfig(
-        mode="modified",
-        smoothing="none",
-        synonym_table=table,
-        modified_idf=config.modified_idf,
-    )
+    a, b = corpus.document(id_a), corpus.document(id_b)
+    vocabulary = sorted(set(a.counts) | set(b.counts))
+    table = config.synonym_table if config.synonym_table is not None else corpus.synonym_table
     scores = []
-    for weighting in (traditional, modified):
-        x = vectorize(a, fresh, vocabulary, weighting).weights
-        y = vectorize(b, fresh, vocabulary, weighting).weights
+    for mode in ("traditional", "modified"):
+        x, y = (
+            reference_weights(doc, corpus.docs, vocabulary, mode, table.rows, config.modified_idf)
+            for doc in (a, b)
+        )
         scores.append(reference_measure(measure, x, y, vocabulary).hex())
     return tuple(scores)
 
@@ -166,6 +192,55 @@ def test_anchor_matrix_matches_reference(term_lists, table, configs, data):
                 anchor,
                 *reference_scores(corpus, anchor, row.target_id, row.measure, config),
             )
+
+
+def drawn_call(corpus, data):
+    """An anchor and its targets, drawn from ``corpus``."""
+    anchor = data.draw(st.sampled_from(corpus.ids))
+    return anchor, data.draw(st.lists(st.sampled_from(corpus.ids), min_size=1, max_size=5))
+
+
+def matrix_hexed(corpus, call, config):
+    """Every row of ``anchor_matrix`` on ``call``, its scores as ``float.hex``."""
+    report = anchor_matrix(corpus, *call, MEASURES, config)
+    return [(row.target_id, row.measure, *hexed(row)) for row in report.rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents, tables, comparisons, st.data())
+def test_scores_do_not_depend_on_document_order(term_lists, table, config, data):
+    corpus = build_corpus(term_lists, table)
+    shuffled = Corpus(data.draw(st.permutations(corpus.docs)), synonym_table=table)
+    call = drawn_call(corpus, data)
+    assert matrix_hexed(shuffled, call, config) == matrix_hexed(corpus, call, config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents, tables, comparisons, st.data())
+def test_a_row_no_document_reaches_changes_no_score(term_lists, table, config, data):
+    # The row's terms are outside TERMS, so no document and no other row
+    # holds them; it is appended to whichever table the scorer uses.
+    def extended(t):
+        return SynonymTable(rows=(*t.rows, ("absent", "missing")))
+
+    corpus = build_corpus(term_lists, table)
+    call = drawn_call(corpus, data)
+    own = config.synonym_table
+    widened = ComparisonConfig(config.modified_idf, None if own is None else extended(own))
+    assert matrix_hexed(build_corpus(term_lists, extended(table)), call, widened) == (
+        matrix_hexed(corpus, call, config)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents, tables, comparisons, st.data())
+def test_naming_the_corpus_table_changes_no_score(term_lists, table, config, data):
+    corpus = build_corpus(term_lists, table)
+    call = drawn_call(corpus, data)
+    named = ComparisonConfig(config.modified_idf, synonym_table=corpus.synonym_table)
+    assert matrix_hexed(corpus, call, named) == (
+        matrix_hexed(corpus, call, ComparisonConfig(config.modified_idf))
+    )
 
 
 @settings(max_examples=150, deadline=None)

@@ -55,7 +55,8 @@ def test_dot_and_jaccard_match_union_sums_bitwise():
     # Summing the key intersection equals summing the union: a term stored
     # on one side only adds +0.0. dot walks the shorter side's terms, so
     # both argument orders are checked; stored zeros of either sign are
-    # stored terms, and each adds a signed zero.
+    # stored terms, and each adds a signed zero. Each measure is then its
+    # plain formula over those sums.
     rng = np.random.default_rng(7)
     for i in range(200):
         x, y = random_pair(rng)
@@ -74,6 +75,11 @@ def test_dot_and_jaccard_match_union_sums_bitwise():
         s = dot(x, y)
         if xx + yy - s:
             assert jaccard(x, y).hex() == min(s / (xx + yy - s), 1.0).hex()
+        nx, ny = math.sqrt(xx), math.sqrt(yy)
+        expected = min(s / (nx * ny), 1.0) if nx and ny else 0.0
+        assert cosine(x, y).hex() == expected.hex()
+        expected = min(2.0 * s / (xx + yy), 1.0) if xx + yy else 0.0
+        assert dice(x, y).hex() == expected.hex()
 
 
 def test_cosine_identical():
