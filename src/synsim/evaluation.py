@@ -220,8 +220,9 @@ def anchor_matrix(
     weighted under both schemes once per call. Per target, the target is
     weighted over its own terms plus, in the modified scheme, the anchor's
     terms that it reaches, and the anchor adds the target's terms that it
-    reaches; ``resolve_count`` is called only for a term that resolves to a
-    positive count. Every weight comes from ``vectorize`` over a sorted
+    reaches; both sides' reached terms come from ``reached_terms``, so
+    ``resolve_count`` is called only for a term that resolves to a positive
+    count. Every weight comes from ``vectorize`` over a sorted
     vocabulary, so each vector's one sort of its terms is about linear.
     Scores are bit-identical to weighting both documents over the pair
     union.
@@ -234,14 +235,12 @@ def anchor_matrix(
     a_terms = sorted(anchor.counts)
     a_trad = vectorize(anchor, corpus, a_terms, traditional)
     a_own = vectorize(anchor, corpus, a_terms, modified)
-    candidates = table.candidates
-    a_linked = [t for t in anchor.counts if t in candidates]
     rows: list[PairResult] = []
     for target_id in target_ids:
         target = corpus.document(target_id)
         b_terms = sorted(target.counts)
         b_trad = vectorize(target, corpus, b_terms, traditional)
-        b_reached = reached_terms(a_linked, target, table)
+        b_reached = reached_terms(anchor.counts, target, table)
         b_mod = vectorize(target, corpus, [*b_terms, *b_reached], modified)
         a_reached = reached_terms(target.counts, anchor, table)
         reached = vectorize(anchor, corpus, a_reached, modified).weights

@@ -29,8 +29,8 @@ class ProcessedDocument:
     Every count is at least 1. ``total_tokens`` is the number of tokens that
     survived filtering, which equals the sum of all counts; it is the
     term-frequency denominator. The constructor checks both rules;
-    ``preprocess`` builds its documents, which hold by construction,
-    through ``_unchecked`` instead.
+    ``preprocess`` builds through ``from_terms``, which skips the check
+    because counting guarantees both rules.
     """
 
     id: str
@@ -48,25 +48,18 @@ class ProcessedDocument:
             )
 
     @classmethod
-    def _unchecked(
-        cls, doc_id: str, counts: Mapping[str, int], total_tokens: int
-    ) -> "ProcessedDocument":
-        """Build without ``__post_init__``: the caller guarantees both rules."""
+    def from_terms(cls, doc_id: str, terms: Iterable[str]) -> "ProcessedDocument":
+        """Count already-stemmed terms, in first-occurrence order.
+
+        Built without ``__post_init__``: each counted term occurs at least
+        once, and the counts add up to the number of terms.
+        """
+        counts = Counter(terms)
         doc = object.__new__(cls)
         object.__setattr__(doc, "id", doc_id)
-        object.__setattr__(doc, "counts", counts)
-        object.__setattr__(doc, "total_tokens", total_tokens)
+        object.__setattr__(doc, "counts", dict(counts))
+        object.__setattr__(doc, "total_tokens", sum(counts.values()))
         return doc
-
-    @classmethod
-    def from_terms(cls, doc_id: str, terms: Iterable[str]) -> "ProcessedDocument":
-        """Build directly from an iterable of already-stemmed terms."""
-        counts: dict[str, int] = {}
-        total = 0
-        for term in terms:
-            counts[term] = counts.get(term, 0) + 1
-            total += 1
-        return cls(id=doc_id, counts=counts, total_tokens=total)
 
 
 def tokenize(text: str) -> list[str]:
@@ -181,5 +174,6 @@ def preprocess(
     ):
         raise ValueError("the chunk memo is not bound to these stopwords and this lexicon")
     # Whitespace is never a letter, so tokens never span whitespace chunks.
-    counts = Counter(chain.from_iterable(map(terms.__getitem__, doc.text.split())))
-    return ProcessedDocument._unchecked(doc.id, dict(counts), sum(counts.values()))
+    return ProcessedDocument.from_terms(
+        doc.id, chain.from_iterable(map(terms.__getitem__, doc.text.split()))
+    )

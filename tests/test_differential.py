@@ -21,8 +21,9 @@ count is positive, with several tables asked of one corpus.
 
 ``preprocess`` resolves each distinct whitespace chunk through a memo
 (to the tuple of terms it yields, possibly empty), counts a document's
-chunks in one pass and builds the document without the constructor's
-checks; its reference runs the stages one after another. A new chunk
+chunks in one pass and builds the document through ``from_terms``, without
+the constructor's checks; its reference runs the stages one after another
+and counts the terms itself, through the checking constructor. A new chunk
 that ends in a non-letter takes the memo entry of the chunk without that
 character, when the memo holds it, instead of being analysed; texts that
 mix pieces with their trailing-separator variants check that every entry
@@ -293,9 +294,14 @@ ALPHABET = (
 
 
 def reference_preprocess(doc, stopwords, lexicon):
+    # Counted here, not through from_terms, which preprocess uses.
     tokens = [normalize(t) for t in tokenize(doc.text)]
     kept = filter_stopwords(tokens, stopwords)
-    return ProcessedDocument.from_terms(doc.id, [stem(t, lexicon) for t in kept])
+    counts: dict[str, int] = {}
+    for token in kept:
+        term = stem(token, lexicon)
+        counts[term] = counts.get(term, 0) + 1
+    return ProcessedDocument(id=doc.id, counts=counts, total_tokens=len(kept))
 
 
 def listed(doc):

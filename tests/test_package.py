@@ -1,6 +1,7 @@
-"""The package's public names, and no dead code behind them."""
+"""The package's public names, no dead code behind them, and no runtime dependency."""
 
 import ast
+import sys
 from pathlib import Path
 
 import synsim
@@ -58,3 +59,26 @@ def test_package_imports_no_unused_name_and_defines_no_dead_private_code():
     unused = {n: imported_but_unused(t) for n, t in trees.items() if n != "__init__.py"}
     assert {n: names for n, names in unused.items() if names} == {}
     assert unreferenced_private_definitions(trees.values()) == set()
+
+
+def non_stdlib_imports(tree: ast.Module) -> set[str]:
+    """Top-level names of the absolute imports that are not standard library modules."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names - sys.stdlib_module_names
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependency; relative imports stay in the package.
+    planted = ast.parse(
+        "import numpy.linalg\nimport os, json\nfrom collections import Counter\n"
+        "from . import errors\nfrom .weighting import vectorize\n"
+    )
+    assert non_stdlib_imports(planted) == {"numpy"}
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    found = {n: non_stdlib_imports(t) for n, t in trees.items()}
+    assert {n: names for n, names in found.items() if names} == {}

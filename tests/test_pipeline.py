@@ -154,9 +154,17 @@ LEXICON = {"x": "", "words": "word"}
 
 
 def chain(doc, stopwords, lexicon):
-    """The stages one after another: what ``preprocess`` must equal."""
+    """The stages one after another: what ``preprocess`` must equal.
+
+    It counts the terms itself, not through ``from_terms``, which
+    ``preprocess`` uses.
+    """
     words = filter_stopwords([normalize(t) for t in tokenize(doc.text)], stopwords)
-    return ProcessedDocument.from_terms(doc.id, [stem(w, lexicon) for w in words])
+    counts: dict[str, int] = {}
+    for word in words:
+        term = stem(word, lexicon)
+        counts[term] = counts.get(term, 0) + 1
+    return ProcessedDocument(id=doc.id, counts=counts, total_tokens=len(words))
 
 
 # Whitespace chunks the memo must get right; each case is a list of texts
