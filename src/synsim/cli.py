@@ -29,7 +29,7 @@ from .evaluation import (
     render_report,
 )
 from .lexicons import load_stem_lexicon, load_stopwords, load_synonym_table
-from .pipeline import RawDocument, _chunk_terms, normalize, preprocess, tokenize
+from .pipeline import RawDocument, _ChunkTerms, normalize, preprocess, tokenize
 from .similarity import MEASURES
 from .weighting import MODES as SCHEMES
 from .weighting import MODIFIED_IDFS, Corpus, vectorize
@@ -216,7 +216,14 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         except (OSError, ValueError) as exc:
             raise SynsimError(f"cannot write {args.out!r}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        # A text stream encodes all the text before buffering, so this writes all or nothing.
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            raise SynsimError(
+                f"stdout's encoding {sys.stdout.encoding} cannot write the character "
+                f"{ascii(exc.object[exc.start])}; use --out, which writes UTF-8"
+            ) from exc
 
 
 def _columns(args: argparse.Namespace) -> tuple[str, ...]:
@@ -269,11 +276,13 @@ def cmd_preprocess(args: argparse.Namespace) -> str:
     path = Path(args.file)
     text = _read_input(Path.read_text, path, "utf-8")
     stopwords, lexicon = _load_lexicons(args)
-    processed = preprocess(RawDocument(id=path.stem, text=text), stopwords, lexicon)
+    # One memo for the counts and the trace, so the two cannot disagree.
+    terms = _ChunkTerms(stopwords, lexicon)
+    processed = preprocess(RawDocument(id=path.stem, text=text), stopwords, lexicon, terms)
     lines = []
     for token in tokenize(text):
         # A token is an alphabetic chunk, so it yields one term or none.
-        (term,) = _chunk_terms(token, stopwords, lexicon) or ("(stopword)",)
+        (term,) = terms[token] or ("(stopword)",)
         lines.append(f"{token}\t{normalize(token)}\t{term}")
     lines.append("")
     lines.append("counts:")

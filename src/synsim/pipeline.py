@@ -2,7 +2,7 @@
 
 The stages are deliberately small pure functions so each can be tested in
 isolation; ``preprocess`` applies them in a fixed order, once per distinct
-whitespace chunk, and reduces a raw document to a bag of stemmed term counts.
+word, and reduces a raw document to a bag of stemmed term counts.
 """
 
 from __future__ import annotations
@@ -93,40 +93,21 @@ def stem(token: str, lexicon: Mapping[str, str]) -> str:
     return lexicon.get(token, token)
 
 
-def _chunk_terms(
-    chunk: str, stopwords: Container[str], lexicon: Mapping[str, str]
-) -> tuple[str, ...]:
-    """The terms of one whitespace chunk, in order: tokenize, normalize, drop stopwords, stem.
-
-    A chunk of stopwords, digits or punctuation yields ``()``; the common
-    chunk yields one term; a chunk such as "a-b" yields several. "" is a
-    term, because a lexicon may map to it. An alphabetic chunk is its own
-    single token, so it yields its one term or ``()`` without tokenizing.
-    """
-    # Interned, so that the equal terms of different chunks ("word",
-    # "word.") are one object, and term lookups in the counts, the postings
-    # and the idf memos match by identity.
-    if chunk.isalpha():
-        word = normalize(chunk)
-        return () if word in stopwords else (intern(stem(word, lexicon)),)
-    return tuple(
-        intern(stem(word, lexicon))
-        for word in map(normalize, tokenize(chunk))
-        if word not in stopwords
-    )
-
-
 class _ChunkTerms(dict):
-    """Memo from each whitespace chunk to its ``_chunk_terms``, for one setting.
+    """Memo from each whitespace chunk to the terms it yields, for one setting.
 
-    It is bound to one ``stopwords`` and one ``lexicon`` object, and a
-    chunk it has not seen is analysed on lookup, stored and returned. A
-    new chunk that ends in a non-letter ("word." after "word") takes the
-    entry of the chunk without that character when the memo holds it:
-    ``tokenize`` splits at every non-letter, so the last character adds no
-    token, and every later stage works per token. Only the chunk looked
-    up is stored, and only a held entry is reused, so each distinct chunk
-    is still analysed at most once.
+    It is bound to one ``stopwords`` and one ``lexicon`` object. A chunk it
+    has not seen is analysed on lookup, stored and returned. An alphabetic
+    chunk is its own token: normalized, dropped if a stopword, else stemmed;
+    this is the only place a word is analysed. Any other chunk yields the
+    terms of its tokens, each looked up, and so stored, as a chunk of its
+    own. So each distinct word is analysed at most once per memo, and the
+    keys are the chunks and their tokens. A new chunk that ends in a
+    non-letter ("word." after "word") first takes the entry of the chunk
+    without that character when the memo holds it: ``tokenize`` splits at
+    every non-letter, so that character adds no token. A chunk of
+    stopwords, digits or punctuation yields ``()``; "" is a term, because a
+    lexicon may map to it.
     """
 
     __slots__ = ("stopwords", "lexicon")
@@ -137,9 +118,16 @@ class _ChunkTerms(dict):
         self.lexicon = lexicon
 
     def __missing__(self, chunk: str) -> tuple[str, ...]:
+        if chunk.isalpha():
+            word = normalize(chunk)
+            # Interned, so that the equal terms of different chunks ("word",
+            # "Word") are one object, and term lookups in the counts, the
+            # postings and the idf memos match by identity.
+            terms = () if word in self.stopwords else (intern(stem(word, self.lexicon)),)
         # dict.get, unlike indexing, does not call __missing__ for the prefix.
-        if chunk[-1:].isalpha() or (terms := self.get(chunk[:-1])) is None:
-            terms = _chunk_terms(chunk, self.stopwords, self.lexicon)
+        elif chunk[-1:].isalpha() or (terms := self.get(chunk[:-1])) is None:
+            # Every token is alphabetic, so this goes one level deep.
+            terms = tuple(chain.from_iterable(map(self.__getitem__, tokenize(chunk))))
         self[chunk] = terms
         return terms
 
@@ -156,10 +144,10 @@ def preprocess(
     are matched on normalized surface forms, before stemming.
 
     ``terms`` memoizes the tuple of terms each whitespace chunk of the text
-    yields (see ``_chunk_terms``), so each distinct chunk is analysed at
-    most once, a chunk ending in a non-letter whose prefix is memoised not
-    at all (see ``_ChunkTerms``), and the chunks of a document are counted
-    in one pass. It is a ``_ChunkTerms(stopwords, lexicon)``, and calls
+    yields (see ``_ChunkTerms``), so each distinct chunk and each distinct
+    word is analysed at most once, a chunk ending in a non-letter whose
+    prefix is memoised not at all, and the chunks of a document are
+    counted in one pass. It is a ``_ChunkTerms(stopwords, lexicon)``, and calls
     may share it only when they pass those same two objects; any other
     memo raises ``ValueError``.
     Without ``terms`` a fresh memo is used. Counts are in first-occurrence

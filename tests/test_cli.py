@@ -6,6 +6,7 @@ import io
 import json
 import os
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -348,6 +349,26 @@ def test_preprocess_empty_file(tmp_path, capsys):
     )
     assert code == 0
     assert out.endswith("total_tokens\t0\n")
+
+
+def test_stdout_that_cannot_encode_the_output_exits_2(tmp_path, monkeypatch, capsys):
+    doc = tmp_path / "k.txt"
+    doc.write_text("Мұнай бағасы өсті", encoding="utf-8")
+    flags = [*STOPWORDS_FLAG, *STEMS_FLAG]
+    raw = io.BytesIO()
+    monkeypatch.setattr("sys.stdout", io.TextIOWrapper(raw, encoding="ascii"))
+    assert main(["preprocess", str(doc), *flags]) == 2
+    sys.stdout.flush()
+    assert raw.getvalue() == b""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("synsim: error: stdout's encoding ascii cannot write")
+    assert "--out" in err
+    # --out writes UTF-8 whatever stdout's encoding is.
+    out_path = tmp_path / "out.txt"
+    assert main(["preprocess", str(doc), *flags, "--out", str(out_path)]) == 0
+    assert out_path.read_text(encoding="utf-8").startswith("Мұнай\tмұнай\t")
+    assert raw.getvalue() == b""
 
 
 def test_vector_shows_hand_computed_weight(tmp_path, capsys):

@@ -22,12 +22,16 @@ count is positive, with several tables asked of one corpus.
 ``preprocess`` resolves each distinct whitespace chunk through a memo
 (to the tuple of terms it yields, possibly empty), counts a document's
 chunks in one pass and builds the document through ``from_terms``, without
-the constructor's checks; its reference runs the stages one after another
-and counts the terms itself, through the checking constructor. A new chunk
-that ends in a non-letter takes the memo entry of the chunk without that
-character, when the memo holds it, instead of being analysed; texts that
-mix pieces with their trailing-separator variants check that every entry
-still equals the chunk's own analysis.
+the constructor's checks. Its reference calls none of synsim's
+preprocessing code: it splits the text into runs of ``str.isalpha``
+characters itself, lowercases each with ``str.lower``, drops those in the
+stopwords and stems the rest with ``lexicon.get``, and counts the terms
+through the checking constructor. The memo looks up a non-alphabetic
+chunk token by token, so each distinct word is normalized once; a new
+chunk that ends in a non-letter takes the memo entry of the chunk without
+that character, when the memo holds it, instead of being analysed. Texts
+that mix pieces with their trailing-separator variants check that every
+entry equals the reference's analysis of its key.
 """
 
 import io
@@ -47,16 +51,13 @@ from synsim import (
     anchor_matrix,
     compare_pair,
     document_frequency,
-    filter_stopwords,
     load_synonym_table,
     normalize,
     preprocess,
     resolve_count,
-    stem,
-    tokenize,
 )
 import synsim.pipeline
-from synsim.pipeline import _ChunkTerms, _chunk_terms
+from synsim.pipeline import _ChunkTerms
 from synsim.weighting import reached_terms
 
 TERMS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta")
@@ -293,15 +294,32 @@ ALPHABET = (
 )
 
 
+def reference_tokens(text):
+    """The maximal runs of ``str.isalpha`` characters in ``text``, in order."""
+    tokens, run = [], ""
+    for char in text + " ":
+        if char.isalpha():
+            run += char
+        elif run:
+            tokens.append(run)
+            run = ""
+    return tokens
+
+
+def reference_terms(text, stopwords, lexicon):
+    """The terms of ``text`` in order: each token lowercased, kept if not a
+    stopword, then stemmed."""
+    words = [token.lower() for token in reference_tokens(text)]
+    return [lexicon.get(word, word) for word in words if word not in stopwords]
+
+
 def reference_preprocess(doc, stopwords, lexicon):
     # Counted here, not through from_terms, which preprocess uses.
-    tokens = [normalize(t) for t in tokenize(doc.text)]
-    kept = filter_stopwords(tokens, stopwords)
+    terms = reference_terms(doc.text, stopwords, lexicon)
     counts: dict[str, int] = {}
-    for token in kept:
-        term = stem(token, lexicon)
+    for term in terms:
         counts[term] = counts.get(term, 0) + 1
-    return ProcessedDocument(id=doc.id, counts=counts, total_tokens=len(kept))
+    return ProcessedDocument(id=doc.id, counts=counts, total_tokens=len(terms))
 
 
 def listed(doc):
@@ -331,7 +349,7 @@ def test_preprocess_with_shared_memo_matches_plain_chain(pieces, data):
         )
     )
     docs = [RawDocument(f"d{i}", text) for i, text in enumerate(texts)]
-    words = sorted({normalize(t) for text in texts for t in tokenize(text)}) or ["a"]
+    words = sorted({t.lower() for text in texts for t in reference_tokens(text)}) or ["a"]
     # Two settings in a row: each memo serves one setting only.
     for _ in range(2):
         stopwords, lexicon = lexical_setting(data, words)
@@ -375,20 +393,23 @@ def test_preprocess_reuses_a_prefix_entry_only_where_exact(pieces, data):
         )
     )
     docs = [RawDocument(f"d{i}", text) for i, text in enumerate(texts)]
-    words = sorted({normalize(t) for text in texts for t in tokenize(text)}) or ["a"]
+    words = sorted({t.lower() for text in texts for t in reference_tokens(text)}) or ["a"]
     stopwords, lexicon = lexical_setting(data, words)
     seen = []
 
-    def counted(chunk, stopwords, lexicon):
-        seen.append(chunk)
-        return _chunk_terms(chunk, stopwords, lexicon)
+    def counted(word):
+        seen.append(word)
+        return normalize(word)
 
     terms = _ChunkTerms(stopwords, lexicon)
-    with mock.patch.object(synsim.pipeline, "_chunk_terms", counted):
+    with mock.patch.object(synsim.pipeline, "normalize", counted):
         for doc in docs:
             expected = listed(reference_preprocess(doc, stopwords, lexicon))
             assert listed(preprocess(doc, stopwords, lexicon, terms)) == expected
+    # No word is normalized twice per memo. The keys are the chunks and
+    # their tokens, each mapped to its own analysis.
     assert len(seen) == len(set(seen))
-    assert set(terms) == {chunk for text in texts for chunk in text.split()}
+    chunks = {chunk for text in texts for chunk in text.split()}
+    assert set(terms) == chunks | {t for chunk in chunks for t in reference_tokens(chunk)}
     for chunk, value in terms.items():
-        assert value == _chunk_terms(chunk, stopwords, lexicon)
+        assert value == tuple(reference_terms(chunk, stopwords, lexicon))

@@ -101,21 +101,22 @@ def test_load_corpus_equals_per_document_preprocess(
 
 
 def test_load_corpus_analyses_each_distinct_chunk_once(tmp_path, monkeypatch):
-    # "y," comes before "y" and is analysed; "x," comes after "x" and takes
-    # its memo entry.
+    # "y," comes before "y" and is analysed through its token "y"; "x,"
+    # comes after "x" and takes its memo entry; "x-y" finds both tokens held.
+    # So each distinct word is normalized once.
     directory = write_corpus(
         tmp_path / "c", {"a": "x y, x x-y", "b": "y, z x-y x,", "c": "x y y, Z x,"}
     )
     seen = []
-    chunk_terms = synsim.pipeline._chunk_terms
+    normalize = synsim.pipeline.normalize
 
-    def counted(chunk, stopwords, lexicon):
-        seen.append(chunk)
-        return chunk_terms(chunk, stopwords, lexicon)
+    def counted(word):
+        seen.append(word)
+        return normalize(word)
 
-    monkeypatch.setattr(synsim.pipeline, "_chunk_terms", counted)
+    monkeypatch.setattr(synsim.pipeline, "normalize", counted)
     load_corpus(directory, EMPTY_STOPS, EMPTY_LEX)
-    assert sorted(seen) == ["Z", "x", "x-y", "y", "y,", "z"]
+    assert sorted(seen) == ["Z", "x", "y", "z"]
 
 
 def test_load_corpus_duplicate_ids_across_directories(tmp_path):

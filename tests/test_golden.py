@@ -33,6 +33,8 @@ CASES = {
     "preprocess.txt": ["preprocess", str(TRANSIT / "a01.txt")],
     # Words followed by separators, before and after their bare forms.
     "preprocess-punctuation.txt": ["preprocess", str(TEXTS / "punctuation.txt")],
+    # One line in NFC, the next in NFD: a combining mark splits a word.
+    "preprocess-nfd.txt": ["preprocess", str(TEXTS / "nfd.txt")],
     "sim.txt": ["sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT)],
     "sim-traditional.txt": [
         "sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT),

@@ -206,14 +206,18 @@ def test_preprocess_chunk_cases_match_the_chain(case):
             assert type(out.counts) is dict
             assert list(out.counts.items()) == list(expected.counts.items())
             assert out.total_tokens == expected.total_tokens
-    # The memo holds the texts' chunks and nothing else.
-    assert set(shared) == {chunk for text in CHUNK_CASES[case] for chunk in text.split()}
+    # The memo holds the texts' chunks and their tokens, and nothing else.
+    chunks = {chunk for text in CHUNK_CASES[case] for chunk in text.split()}
+    assert set(shared) == chunks | {token for chunk in chunks for token in tokenize(chunk)}
 
 
 def test_preprocess_memo_maps_each_chunk_to_what_it_yields():
     terms = _ChunkTerms(STOPS, LEXICON)
     preprocess(RawDocument(id="d", text="The-of a-b x . Words."), STOPS, LEXICON, terms)
-    assert terms == {"The-of": (), "a-b": ("a", "b"), "x": ("",), ".": (), "Words.": ("word",)}
+    assert terms == {
+        "The": (), "of": (), "The-of": (), "a": ("a",), "b": ("b",), "a-b": ("a", "b"),
+        "x": ("",), ".": (), "Words": ("word",), "Words.": ("word",),
+    }
 
 
 def test_memo_reuses_the_entry_of_a_memoised_prefix():
