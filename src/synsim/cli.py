@@ -200,7 +200,7 @@ def _document_id(path, corpus_dir) -> str:
     """The id of ``path``, which must be a ``.txt`` file in ``corpus_dir``."""
     _require_file(path)
     path = Path(path)
-    if path.suffix != ".txt" or path.parent.resolve() != Path(corpus_dir).resolve():
+    if not path.name.endswith(".txt") or path.parent.resolve() != Path(corpus_dir).resolve():
         raise CorpusError(f"{path} is not a .txt file in the corpus directory {corpus_dir}")
     return path.stem
 

@@ -47,16 +47,13 @@ def _vector(v) -> DocumentVector:
 def dot(x, y) -> float:
     """Inner product over the terms stored on both sides, in sorted order.
 
-    It walks the shorter vector's sorted terms and keeps those the other
-    stores. A term stored on one side only would add ``+0.0``, which leaves
-    the sum unchanged, so summing the intersection equals summing the union.
+    It walks ``x``'s sorted terms and keeps those ``y`` stores. A term
+    stored on one side only would add ``+0.0``, which leaves the sum
+    unchanged, so summing the intersection equals summing the union.
     """
     x, y = _vector(x), _vector(y)
     xw, yw = x.weights, y.weights
-    if len(xw) <= len(yw):
-        shared = [*filter(yw.__contains__, x._terms)]
-    else:
-        shared = [*filter(xw.__contains__, y._terms)]
+    shared = [*filter(yw.__contains__, x._terms)]
     return _sum_left_to_right(map(mul, map(xw.__getitem__, shared), map(yw.__getitem__, shared)))
 
 

@@ -17,9 +17,9 @@ With an empty synonym table both schemes coincide exactly.
 
 Weights are ``tf * log2(|D| / df)``. Since df never exceeds the corpus
 size, weights are nonnegative. A df of zero (a term absent from the whole
-corpus, synonyms included) is handled by the ``smoothing`` setting: the
-default ``plus_one_when_zero`` replaces the zero denominator with one,
-while ``none`` raises.
+corpus, synonyms included) reaches :func:`vectorize` only from a document
+outside the corpus, and it divides by one there (``plus_one_when_zero``
+smoothing); :func:`idf` also takes ``none``, which raises.
 """
 
 from __future__ import annotations
@@ -58,16 +58,15 @@ class WeightingConfig:
     ``modified_idf`` selects the document-frequency flavor used by the
     modified scheme: "resolved" (default) counts synonym hits into df,
     "raw" keeps the traditional df while only term frequency changes.
+    A df of zero is always smoothed to one (see :func:`vectorize`).
     """
 
     mode: Mode = "traditional"
-    smoothing: Smoothing = "plus_one_when_zero"
     synonym_table: SynonymTable | None = None
     modified_idf: ModifiedIdf = "resolved"
 
     def __post_init__(self):
         check_choice("mode", self.mode, MODES)
-        check_choice("smoothing", self.smoothing, SMOOTHINGS)
         check_choice("modified_idf", self.modified_idf, MODIFIED_IDFS)
         if self.mode == "modified" and self.synonym_table is None:
             raise ConfigError("mode 'modified' requires a synonym table")
@@ -98,12 +97,12 @@ class Corpus:
     ``postings``, built once at construction, is a plain dict that maps
     each term to the ids of the documents holding it, in corpus order. It
     answers document frequencies for both schemes and, like ``doc.counts``,
-    is public to read and must not be mutated. Idf values are memoised per weighting
-    setting (see :meth:`idf_memo`), and modified document frequencies per
-    synonym row (see :func:`document_frequency`); both fill lazily. Each
-    value is a pure function of the immutable corpus, so concurrent readers
-    that race on a memo only repeat work. A corpus built without a synonym
-    table holds an empty one.
+    is public to read and must not be mutated. Idf values are memoised per
+    df flavor and table (see :meth:`idf_memo`), and modified document
+    frequencies per synonym row (see :func:`document_frequency`); both fill
+    lazily. Each value is a pure function of the immutable corpus, so
+    concurrent readers that race on a memo only repeat work. A corpus built
+    without a synonym table holds an empty one.
     """
 
     def __init__(
@@ -152,20 +151,17 @@ class Corpus:
         except KeyError:
             raise UnknownDocumentError(f"no document with id {doc_id!r}") from None
 
-    def idf_memo(
-        self, mode: Mode, smoothing: Smoothing, table: SynonymTable | None
-    ) -> dict[str, float]:
-        """Term-to-idf memo of one weighting setting, filled by :func:`vectorize`.
+    def idf_memo(self, mode: Mode, table: SynonymTable | None) -> dict[str, float]:
+        """Term-to-idf memo of one df flavor, filled by :func:`vectorize`.
 
         Traditional idf ignores the synonym table, so its memo is shared
         by every table. A modified memo is keyed by the table itself:
         equal tables give equal idf and share it, and a table is never
-        served values computed with a different one. A failed idf is not
-        stored, so it fails again.
+        served values computed with a different one.
         """
         if mode == "traditional":
             table = None
-        return self._idf_memos.setdefault((mode, smoothing, table), {})
+        return self._idf_memos.setdefault((mode, table), {})
 
 
 def resolve_count(
@@ -321,16 +317,18 @@ def vectorize(
     """TF-IDF vector of ``doc`` over ``vocabulary``.
 
     In modified mode the synonym-resolved count feeds tf, and idf uses the
-    resolved document frequency (unless ``modified_idf`` is "raw"). Zero
-    weights are not stored. Each term's idf is computed once per corpus
-    and setting, and read from :meth:`Corpus.idf_memo` afterwards.
+    resolved document frequency (unless ``modified_idf`` is "raw"). A term
+    of df 0, which only a document outside ``corpus`` can hold, has its df
+    smoothed to one. Zero weights are not stored. Each term's idf is
+    computed once per corpus, df flavor and table, and read from
+    :meth:`Corpus.idf_memo` afterwards.
 
     The weights keep ``vocabulary`` order. The vector sorts its terms once,
     on first use, so a sorted ``vocabulary`` makes that sort about linear.
     """
     modified = config.mode == "modified"
-    idf_mode, smoothing, table = config.idf_mode, config.smoothing, config.synonym_table
-    idfs = corpus.idf_memo(idf_mode, smoothing, table)
+    idf_mode, table = config.idf_mode, config.synonym_table
+    idfs = corpus.idf_memo(idf_mode, table)
     counts, total = doc.counts, doc.total_tokens
     weights: dict[str, float] = {}
     for term in vocabulary:
@@ -341,7 +339,7 @@ def vectorize(
             continue
         term_idf = idfs.get(term)
         if term_idf is None:
-            term_idf = idfs[term] = idf(corpus, term, idf_mode, smoothing, table)
+            term_idf = idfs[term] = idf(corpus, term, idf_mode, "plus_one_when_zero", table)
         # A positive count means a nonempty document, so this is tf().
         weight = count / total * term_idf
         if weight != 0.0:

@@ -607,6 +607,28 @@ def test_sim_accepts_file_named_through_another_path_to_corpus(small_setup, caps
     assert out == "cosine traditional=1.000000 modified=1.000000 delta=0.000000\n"
 
 
+def test_sim_accepts_the_file_named_exactly_dot_txt(tmp_path, capsys):
+    # read_documents selects every name ending in ".txt", so the file ".txt"
+    # is document ".txt" in matrix, and sim must accept it too, although
+    # Path(".txt").suffix is "".
+    for name, source in [("a", "a01"), ("", "a02"), ("b", "a03")]:
+        shutil.copy(TRANSIT / f"{source}.txt", tmp_path / f"{name}.txt")
+    code, out, err = run(
+        capsys, "sim", str(tmp_path / "a.txt"), str(tmp_path / ".txt"), str(tmp_path),
+        *FIXTURE_FLAGS,
+    )
+    assert (code, err) == (0, "")
+    code, matrix, _ = run(capsys, "matrix", str(tmp_path), "a", *FIXTURE_FLAGS, "--format", "csv")
+    assert code == 0
+    want = [
+        f"{measure} traditional={t} modified={m} delta={d}"
+        for _, target, measure, t, m, d in csv.reader(io.StringIO(matrix))
+        if target == ".txt"
+    ]
+    assert len(want) == 3
+    assert out.splitlines() == want
+
+
 MATRIX = ["matrix", str(TRANSIT), "a01"]
 SIM = ["sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT)]
 

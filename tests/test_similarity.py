@@ -53,10 +53,10 @@ def test_dot_and_norm_add_left_to_right():
 
 def test_dot_and_jaccard_match_union_sums_bitwise():
     # Summing the key intersection equals summing the union: a term stored
-    # on one side only adds +0.0. dot walks the shorter side's terms, so
-    # both argument orders are checked; stored zeros of either sign are
-    # stored terms, and each adds a signed zero. Each measure is then its
-    # plain formula over those sums.
+    # on one side only adds +0.0. dot walks its first argument's terms and
+    # keeps those the second stores, so both argument orders are checked;
+    # stored zeros of either sign are stored terms, and each adds a signed
+    # zero. Each measure is then its plain formula over those sums.
     rng = np.random.default_rng(7)
     for i in range(200):
         x, y = random_pair(rng)

@@ -314,29 +314,28 @@ class TestVectorize:
         with pytest.raises(ConfigError):
             WeightingConfig(mode="modified")
 
-    def test_unsmoothed_zero_df_raises_on_every_call(self, toy_corpus):
-        # A document from outside the corpus holds a term of df 0. The
-        # smoothed value memoised first must not be served to "none", and
-        # a failure must not be memoised either.
+    def test_zero_df_term_of_an_outsider_is_smoothed_on_every_call(self, toy_corpus):
+        # A document from outside the corpus holds a term of df 0: its df
+        # is smoothed to one, so it weighs tf * log2(N), both when first
+        # computed and when served from the memo.
         outsider = make_doc("x", ["t1", "t9"])
         vocabulary = ("t1", "t9")
-        smoothed = vectorize(outsider, toy_corpus, vocabulary, WeightingConfig())
-        assert smoothed.get("t9") == pytest.approx(0.5 * math.log2(3))
         for _ in range(2):
-            with pytest.raises(ZeroDocumentFrequencyError):
-                vectorize(outsider, toy_corpus, vocabulary, WeightingConfig(smoothing="none"))
+            smoothed = vectorize(outsider, toy_corpus, vocabulary, WeightingConfig())
+            assert smoothed.get("t9") == pytest.approx(0.5 * math.log2(3))
+        assert toy_corpus.idf_memo("traditional", None)["t9"] == math.log2(3)
 
     def test_idf_memo_is_keyed_by_setting_and_table(self, toy_corpus):
         table = table_from("t1,t2\n")
-        memo = toy_corpus.idf_memo("modified", "none", table)
-        assert toy_corpus.idf_memo("modified", "none", table_from("t1,t2\n")) is memo
+        memo = toy_corpus.idf_memo("modified", table)
+        assert toy_corpus.idf_memo("modified", table_from("t1,t2\n")) is memo
         # A table built by hand from plain tuples keys the same memo.
-        assert toy_corpus.idf_memo("modified", "none", SynonymTable(rows=(("t1", "t2"),))) is memo
-        assert toy_corpus.idf_memo("modified", "none", SynonymTable.empty()) is not memo
-        assert toy_corpus.idf_memo("modified", "plus_one_when_zero", table) is not memo
+        assert toy_corpus.idf_memo("modified", SynonymTable(rows=(("t1", "t2"),))) is memo
+        assert toy_corpus.idf_memo("modified", SynonymTable.empty()) is not memo
+        assert toy_corpus.idf_memo("traditional", table) is not memo
         # Traditional idf ignores the table.
-        assert toy_corpus.idf_memo("traditional", "none", table) is toy_corpus.idf_memo(
-            "traditional", "none", None
+        assert toy_corpus.idf_memo("traditional", table) is toy_corpus.idf_memo(
+            "traditional", None
         )
 
 
@@ -350,6 +349,10 @@ def test_build_vocabulary_empty():
     a = make_doc("a", [])
     b = make_doc("b", [])
     assert build_vocabulary(a, b) == ()
+
+
+def test_weighting_config_has_no_smoothing_field():
+    assert [f.name for f in fields(WeightingConfig)] == ["mode", "synonym_table", "modified_idf"]
 
 
 def test_document_vector_holds_only_weights():
