@@ -12,9 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import asdict, astuple, dataclass
+from functools import reduce
 from pathlib import Path
-from typing import Container, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import (
     ConfigError,
@@ -31,7 +33,6 @@ from .weighting import (
     DocumentVector,
     ModifiedIdf,
     WeightingConfig,
-    _sum_left_to_right,
     reached_terms,
     vectorize,
 )
@@ -198,6 +199,12 @@ def compare_pair(
 ) -> PairResult:
     """Traditional and modified scores of one pair under one measure."""
     return anchor_matrix(corpus, id_a, [id_b], [measure], config).rows[0]
+
+
+def _sum_left_to_right(values: Iterable[float]) -> float:
+    # Built-in sum() of floats is compensated since Python 3.12; adding left
+    # to right keeps every score the same bits on every Python version.
+    return reduce(operator.add, values, 0.0)
 
 
 def anchor_matrix(

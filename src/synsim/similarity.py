@@ -14,18 +14,17 @@ and 0 when either vector is zero, so empty documents score 0.
 ``similarity(name, x, y).value``.
 
 Functions accept either a :class:`~synsim.weighting.DocumentVector` or a
-plain term-to-weight mapping. Accumulation always runs left to right in
-sorted term order, so results are reproducible and exactly symmetric.
+plain term-to-weight mapping. Each sum is one loop that adds left to right
+in sorted term order, so results are reproducible and exactly symmetric.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import check_choice
-from .weighting import DocumentVector, _sum_left_to_right
+from .weighting import DocumentVector
 
 MEASURES = ("cosine", "jaccard", "dice")
 
@@ -47,14 +46,19 @@ def _vector(v) -> DocumentVector:
 def dot(x, y) -> float:
     """Inner product over the terms stored on both sides, in sorted order.
 
-    It walks ``x``'s sorted terms and keeps those ``y`` stores. A term
-    stored on one side only would add ``+0.0``, which leaves the sum
-    unchanged, so summing the intersection equals summing the union.
+    One loop over ``x``'s sorted terms adds the products of the terms ``y``
+    stores. A term stored on one side only would add a zero for any finite
+    weight, so summing the intersection equals summing the union.
     """
     x, y = _vector(x), _vector(y)
     xw, yw = x.weights, y.weights
-    shared = [*filter(yw.__contains__, x._terms)]
-    return _sum_left_to_right(map(mul, map(xw.__getitem__, shared), map(yw.__getitem__, shared)))
+    # CPython specialises float * and += inside a loop, where
+    # reduce(operator.add, ...) makes a generic call for each element.
+    total = 0.0
+    for term in x._terms:
+        if term in yw:
+            total += xw[term] * yw[term]
+    return total
 
 
 def similarity(measure: str, x, y) -> SimilarityScore:

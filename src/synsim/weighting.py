@@ -25,10 +25,9 @@ smoothing); :func:`idf` also takes ``none``, which raises.
 from __future__ import annotations
 
 import math
-import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 from .errors import (
@@ -273,12 +272,6 @@ def idf(
     return math.log2(len(corpus) / df)
 
 
-def _sum_left_to_right(values: Iterable[float]) -> float:
-    # Built-in sum() of floats is compensated since Python 3.12; adding left
-    # to right keeps every score the same bits on every Python version.
-    return reduce(operator.add, values, 0.0)
-
-
 def build_vocabulary(a: ProcessedDocument, b: ProcessedDocument) -> tuple[str, ...]:
     """Shared component order for a document pair: sorted union of terms."""
     return tuple(sorted(set(a.counts) | set(b.counts)))
@@ -303,9 +296,15 @@ class DocumentVector:
 
     @cached_property
     def norm_squared(self) -> float:
-        """Sum of the squared weights in sorted term order, computed once."""
-        w = list(map(self.weights.__getitem__, self._terms))
-        return _sum_left_to_right(map(operator.mul, w, w))
+        """Sum of the squared weights in sorted term order, computed once.
+
+        One plain loop adds them, as in :func:`~synsim.similarity.dot`.
+        """
+        weights, total = self.weights, 0.0
+        for term in self._terms:
+            weight = weights[term]
+            total += weight * weight
+        return total
 
 
 def vectorize(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synsim import ConfigError, DocumentVector, cosine, dice, dot, jaccard, similarity
 
@@ -80,6 +82,36 @@ def test_dot_and_jaccard_match_union_sums_bitwise():
         assert cosine(x, y).hex() == expected.hex()
         expected = min(2.0 * s / (xx + yy), 1.0) if xx + yy else 0.0
         assert dice(x, y).hex() == expected.hex()
+
+
+# Any finite weight: negative, signed zero, subnormal, or large enough that
+# products overflow to an infinity and later sums of both signs to nan. The
+# bounded draws have full mantissas, so the order of the additions shows.
+finite_weights = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e200, -1e200, 1e308, -1e308]),
+)
+sparse_maps = st.dictionaries(st.sampled_from("abcdefgh"), finite_weights, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_maps, sparse_maps)
+def test_dot_and_norm_add_any_finite_weights_in_sorted_order(x, y):
+    shared = sorted(set(x) & set(y))
+    expected = added_in_order(x[t] * y[t] for t in shared)
+    assert float.hex(dot(x, y)) == float.hex(expected)
+    assert float.hex(dot(y, x)) == float.hex(expected)
+    expected = added_in_order(x[t] * x[t] for t in sorted(x))
+    assert float.hex(DocumentVector(x).norm_squared) == float.hex(expected)
+    assert float.hex(dot({}, {})) == float.hex(0.0)
+
+
+def test_dot_adds_nothing_for_a_term_one_side_stores_even_when_infinite():
+    # For finite weights the intersection and the union sum alike; an
+    # infinite weight tells them apart, since inf * 0.0 is nan.
+    assert dot({"a": math.inf, "b": 2.0}, {"b": 3.0}) == 6.0
+    assert dot({"b": 3.0}, {"a": -math.inf, "b": 2.0}) == 6.0
 
 
 def test_cosine_identical():
