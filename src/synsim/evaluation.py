@@ -222,14 +222,14 @@ def anchor_matrix(
     A term's weight depends on the term, the document and the weighting,
     never on the pair; the pair only keeps the union of the two documents'
     terms. Outside its own terms, a document can carry a modified weight
-    only for a term with a synonym candidate in it (``reached_terms``, read
-    from ``SynonymTable.candidates``). So the anchor's own terms are
-    weighted under both schemes once per call. Per target, the target is
-    weighted over its own terms plus, in the modified scheme, the anchor's
-    terms that it reaches, and the anchor adds the target's terms that it
-    reaches; both sides' reached terms come from ``reached_terms``, so
-    ``resolve_count`` is called only for a term that resolves to a positive
-    count. Every weight comes from ``vectorize`` over a sorted
+    only for a term whose lowest synonym row has a term in it
+    (``reached_terms``, read from ``SynonymTable.row_of``). So the anchor's
+    own terms are weighted under both schemes once per call. Per target, the
+    target is weighted over its own terms plus, in the modified scheme, the
+    anchor's terms that it reaches, and the anchor adds the target's terms
+    that it reaches; both sides' reached terms come from ``reached_terms``,
+    so ``resolve_count`` is called only for a term that resolves to a
+    positive count. Every weight comes from ``vectorize`` over a sorted
     vocabulary, so each vector's one sort of its terms is about linear.
     Scores are bit-identical to weighting both documents over the pair
     union.

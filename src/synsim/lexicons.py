@@ -29,13 +29,13 @@ from .pipeline import normalize, stem
 
 @dataclass(frozen=True)
 class SynonymTable:
-    """Ordered synonym rows, the only field; ``candidates`` derives from them.
+    """Ordered synonym rows, the only field; ``row_of`` derives from them.
 
     ``rows`` is a tuple of rows, each a tuple of distinct terms, so a table
     is immutable, and one built by hand from plain tuples equals a loaded
-    one with the same rows. ``candidates`` is computed once, on first use.
-    Tables compare by their rows and are hashable, so a table can key a
-    memo.
+    one with the same rows. ``row_of`` is computed once, on first use, in
+    one pass over the rows. Tables compare by their rows and are hashable,
+    so a table can key a memo.
     """
 
     rows: tuple[tuple[str, ...], ...] = ()
@@ -45,18 +45,17 @@ class SynonymTable:
         return cls()
 
     @cached_property
-    def candidates(self) -> dict[str, tuple[str, ...]]:
-        """Each term's synonyms: the other terms, in order, of the lowest row holding it."""
-        candidates: dict[str, tuple[str, ...]] = {}
+    def row_of(self) -> dict[str, tuple[str, ...]]:
+        """Each term mapped to the lowest row holding it: the row's own tuple, not a copy."""
+        row_of: dict[str, tuple[str, ...]] = {}
         for row in self.rows:
             for term in row:
-                if term not in candidates:
-                    candidates[term] = tuple(t for t in row if t != term)
-        return candidates
+                row_of.setdefault(term, row)
+        return row_of
 
     def __hash__(self) -> int:
-        # The first row keeps hashing O(1); tables sharing it fall back to ==.
-        return hash(self.rows[:1])
+        # One term keeps hashing O(1); tables sharing it fall back to ==.
+        return hash(self.rows[0][:1]) if self.rows else 0
 
 
 def _open_lines(source) -> Iterator[str]:
@@ -110,14 +109,11 @@ def load_synonym_table(source, lexicon: Mapping[str, str] | None = None) -> Syno
     lexicon = lexicon or {}
     rows: list[tuple[str, ...]] = []
     for _, line in _content_lines(source):
-        words = [w.strip() for w in line.split(",")]
-        terms: list[str] = []
-        for word in words:
-            if not word:
-                continue
-            term = stem(normalize(word), lexicon)
-            if term and term not in terms:
-                terms.append(term)
+        # A dict keeps each term's first position, whatever the row's width.
+        terms = dict.fromkeys(
+            stem(normalize(word), lexicon) for word in map(str.strip, line.split(",")) if word
+        )
+        terms.pop("", None)
         if len(terms) < 2:
             continue
         rows.append(tuple(terms))

@@ -128,7 +128,7 @@ class Corpus:
         # A plain dict, so that looking up an absent term adds no entry.
         self.postings: dict[str, list[str]] = dict(postings)
         self._idf_memos: dict[tuple, dict[str, float]] = {}
-        self._row_dfs: dict[frozenset[str], int] = {}
+        self._row_dfs: dict[int, tuple[tuple[str, ...], int]] = {}
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -170,20 +170,22 @@ def resolve_count(
 ) -> ResolvedCount:
     """Occurrence count of ``term`` in ``doc``, falling back to synonyms.
 
-    A positive raw count short-circuits; otherwise the term's candidates in
-    ``table`` are tried in row position order and the first with a positive
-    count wins. A term in no row, or with no candidate present, yields zero.
-    ``table`` is required, as in modified :func:`document_frequency`.
+    A positive raw count short-circuits; otherwise the term's lowest row
+    (``table.row_of``) is walked in position order, stopping at the first
+    term with a positive count. The term itself counts zero there, so the
+    winner is another term; a term in no row, or with no row term present,
+    yields zero. ``table`` is required, as in modified
+    :func:`document_frequency`.
     """
     if table is None:
         raise ConfigError("mode 'modified' requires a synonym table")
     own = doc.counts.get(term, 0)
     if own > 0:
         return ResolvedCount(count=own)
-    for candidate in table.candidates.get(term, ()):
-        count = doc.counts.get(candidate, 0)
+    for synonym in table.row_of.get(term, ()):
+        count = doc.counts.get(synonym, 0)
         if count > 0:
-            return ResolvedCount(count=count, matched_term=candidate)
+            return ResolvedCount(count=count, matched_term=synonym)
     return ResolvedCount(count=0)
 
 
@@ -192,16 +194,16 @@ def reached_terms(
 ) -> list[str]:
     """The ``terms`` outside ``doc`` whose resolved count in ``doc`` is positive.
 
-    These are the terms with a synonym candidate in ``doc``, read from
-    ``table.candidates`` as in :func:`resolve_count`; every other term
-    outside ``doc`` resolves to zero there. Order follows ``terms``.
+    These are the terms whose lowest row, read from ``table.row_of`` as in
+    :func:`resolve_count`, has a term in ``doc``; every other term outside
+    ``doc`` resolves to zero there. Order follows ``terms``.
     """
-    counts, candidates = doc.counts, table.candidates
+    counts, row_of = doc.counts, table.row_of
     present = counts.keys()
     return [
         t
         for t in terms
-        if (row := candidates.get(t)) and t not in counts and not present.isdisjoint(row)
+        if (row := row_of.get(t)) and t not in counts and not present.isdisjoint(row)
     ]
 
 
@@ -227,9 +229,12 @@ def document_frequency(
 
     So every term whose lowest row is the same has the same modified df:
     the size of the union of the row's posting lists. It is computed once
-    per corpus and row and memoised on the corpus, keyed by the row's set
-    of terms. The key names only terms, so tables sharing a row share the
-    entry. A term in no row has its traditional df, which is not memoised.
+    per corpus and row object and memoised on the corpus under the row's
+    ``id``, so a lookup costs the same however wide the row; the entry
+    keeps the row alive, so no other object can take that id meanwhile.
+    Tables built from the same row objects share entries; equal rows of
+    separately loaded tables get one each, which repeats work but never
+    changes a value. A term in no row has its traditional df, unmemoised.
     """
     postings = corpus.postings
     if mode == "traditional":
@@ -238,14 +243,14 @@ def document_frequency(
         check_choice("mode", mode, MODES)
     if table is None:
         raise ConfigError("mode 'modified' requires a synonym table")
-    synonyms = table.candidates.get(term)
-    if not synonyms:
+    row = table.row_of.get(term)
+    if row is None:
         return len(postings.get(term, ()))
-    row = frozenset((term, *synonyms))
-    df = corpus._row_dfs.get(row)
-    if df is None:
-        df = corpus._row_dfs[row] = len(set().union(*(postings.get(t, ()) for t in row)))
-    return df
+    entry = corpus._row_dfs.get(id(row))
+    if entry is None:
+        df = len(set().union(*(postings.get(t, ()) for t in row)))
+        entry = corpus._row_dfs[id(row)] = (row, df)
+    return entry[1]
 
 
 def idf(

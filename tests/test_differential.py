@@ -2,22 +2,23 @@
 
 ``compare_pair`` and ``anchor_matrix`` weight the anchor's own terms once
 per call and, per pair, resolve only the other side's terms that each side
-reaches through a synonym candidate (``reached_terms``). The reference below
-is the direct reading of the scheme and calls none of synsim's weighting
-code: it weights both documents over the pair's term union under both
-schemes with ``count / total * log2(n / df)``, finding a resolved count by
-scanning the synonym rows for the lowest one holding the term and a df by
-scanning every document, then computes each measure with plain
-left-to-right loops over that union, sharing no dot product, norm or
-sorted term order with ``synsim.similarity``. Every score must agree bit
-for bit. Metamorphic properties check that the scores do not depend on
-the corpus's document order, on a synonym row no document reaches, or on
-whether the corpus's own table is named explicitly.
+reaches through their lowest synonym row (``reached_terms``). The reference
+below is the direct reading of the scheme and calls none of synsim's
+weighting code: it weights both documents over the pair's term union under
+both schemes with ``count / total * log2(n / df)``, finding a resolved count
+by scanning the synonym rows for the lowest one holding the term and a df by
+scanning every document, then computes each measure with plain left-to-right
+loops over that union, sharing no dot product, norm or sorted term order
+with ``synsim.similarity``. Every score must agree bit for bit. Metamorphic
+properties check that the scores do not depend on the corpus's document
+order, on a synonym row no document reaches, or on whether the corpus's own
+table is named explicitly.
 
 ``document_frequency`` reads the corpus's posting lists and memoises a
-modified df per synonym row on the corpus; it is checked against the
-scheme's definition, a count of the documents where the term's (resolved)
-count is positive, with several tables asked of one corpus.
+modified df per synonym row object on the corpus; it is checked against
+the scheme's definition, a count of the documents where the term's
+(resolved) count is positive, with several tables asked of one corpus,
+one of them freed before the next is loaded.
 
 ``preprocess`` resolves each distinct whitespace chunk through a memo
 (to the tuple of terms it yields, possibly empty), counts a document's
@@ -34,6 +35,7 @@ that mix pieces with their trailing-separator variants check that every
 entry equals the reference's analysis of its key.
 """
 
+import gc
 import io
 import math
 from unittest import mock
@@ -138,11 +140,13 @@ def hexed(result):
 documents = st.lists(
     st.lists(st.sampled_from(TERMS), max_size=8), min_size=2, max_size=6
 )
-# Rows draw from the same small alphabet, so a term often sits in several
+# Rows draw from the same small alphabet and may be longer than it, so a
+# row can hold every term or repeat one, and a term often sits in several
 # rows; the loader keeps the lowest row for it and drops rows under two terms.
-tables = st.lists(
-    st.lists(st.sampled_from(TERMS), min_size=1, max_size=4), max_size=4
-).map(lambda rows: load_synonym_table(io.StringIO("".join(",".join(r) + "\n" for r in rows))))
+table_texts = st.lists(
+    st.lists(st.sampled_from(TERMS), min_size=1, max_size=10), max_size=4
+).map(lambda rows: "".join(",".join(r) + "\n" for r in rows))
+tables = table_texts.map(lambda text: load_synonym_table(io.StringIO(text)))
 comparisons = st.builds(
     ComparisonConfig,
     modified_idf=st.sampled_from(("resolved", "raw")),
@@ -223,7 +227,7 @@ def test_a_row_no_document_reaches_changes_no_score(term_lists, table, config, d
     # The row's terms are outside TERMS, so no document and no other row
     # holds them; it is appended to whichever table the scorer uses.
     def extended(t):
-        return SynonymTable(rows=(*t.rows, ("absent", "missing")))
+        return SynonymTable(rows=(*t.rows, tuple(f"absent{i}" for i in range(300))))
 
     corpus = build_corpus(term_lists, table)
     call = drawn_call(corpus, data)
@@ -271,17 +275,27 @@ def test_document_frequency_counts_the_documents_that_resolve(term_lists, table)
 
 
 @settings(max_examples=150, deadline=None)
-@given(documents, tables, tables)
+@given(documents, table_texts, table_texts)
 def test_modified_df_memo_serves_each_row_and_table_its_own(term_lists, first, second):
     # The two tables often share terms but not rows. Each term is asked
     # twice, in two orders, so most answers come from the corpus's memo.
-    corpus = build_corpus(term_lists, first)
+    # The first table is freed before the second is loaded, so the second's
+    # rows may take the addresses of the first's: a memo keyed by a row's
+    # identity must not serve them the freed rows' entries.
+    corpus = build_corpus(term_lists, None)
     terms = [*TERMS, "absent"]
-    for table in (first, second):
+
+    def check(table):
         for term in [*terms, *reversed(terms)]:
             assert document_frequency(corpus, term, "modified", table) == sum(
                 resolve_count(term, doc, table).count > 0 for doc in corpus
             )
+
+    table = load_synonym_table(io.StringIO(first))
+    check(table)
+    del table
+    gc.collect()
+    check(load_synonym_table(io.StringIO(second)))
 
 
 # Every whitespace class str.split uses, and U+200B, which is not whitespace.

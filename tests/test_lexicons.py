@@ -140,12 +140,14 @@ def test_load_synonym_table_drops_singletons():
 
 def test_load_synonym_table_lowest_row_wins():
     table = load_synonym_table(io.StringIO("A0,A1\nA1,C0\n"))
-    assert table.candidates.get("a1", ()) == ("a0",)
+    assert table.row_of["a1"] == ("a0", "a1")
+    assert table.row_of["a1"] is table.rows[0]
+    assert table.row_of["c0"] is table.rows[1]
 
 
 def test_reached_terms_follow_the_lowest_row_candidates():
-    # b takes its candidates from the first row, so a document holding b
-    # reaches a and c, while one holding c reaches nothing.
+    # b's lowest row is the first, so a document holding b reaches a and
+    # c, while one holding c reaches nothing.
     table = load_synonym_table(io.StringIO("a,b\nb,c\n"))
     terms = ["a", "b", "c", "x"]
     holding_b = ProcessedDocument.from_terms("d0", ["b"])
@@ -161,9 +163,11 @@ def test_hand_built_table_equals_the_loaded_one():
     loaded = load_synonym_table(io.StringIO("a,b\nb,c\n"))
     assert [f.name for f in fields(SynonymTable)] == ["rows"]
     assert built == loaded
+    assert hash(built) == hash(loaded)
     for term in ("a", "b", "c", "z"):
-        assert built.candidates.get(term, ()) == loaded.candidates.get(term, ())
-    assert built.candidates.get("b", ()) == ("a",)
+        assert built.row_of.get(term) == loaded.row_of.get(term)
+    assert built.row_of["b"] == ("a", "b")
+    assert built.row_of["b"] is built.rows[0]
 
 
 @pytest.mark.parametrize(
@@ -184,32 +188,55 @@ def test_load_synonym_table_applies_stemming():
 
 def test_synonym_candidates_in_row_order():
     table = load_synonym_table(io.StringIO("A0,A1,A2\n"))
-    assert table.candidates.get("a0", ()) == ("a1", "a2")
+    assert table.row_of["a0"] == ("a0", "a1", "a2")
 
 
 def test_synonym_candidates_membership_anywhere():
+    # Every term of the row maps to the same row, wherever it stands.
     table = load_synonym_table(io.StringIO("A0,A1,A2\n"))
-    assert table.candidates.get("a1", ()) == ("a0", "a2")
+    assert table.row_of["a1"] == ("a0", "a1", "a2")
+    assert table.row_of["a2"] is table.row_of["a0"]
 
 
 def test_synonym_candidates_absent_term():
     table = load_synonym_table(io.StringIO("A0,A1\n"))
-    assert table.candidates.get("z", ()) == ()
+    assert table.row_of.get("z") is None
 
 
-def test_synonym_candidates_never_contain_the_term():
-    table = load_synonym_table(io.StringIO("a,b,c\nd,e\n"))
+def test_every_term_maps_to_its_lowest_row_object():
+    table = load_synonym_table(io.StringIO("a,b,c\nd,e\nc,e,f\n"))
+    assert set(table.row_of) == {t for row in table.rows for t in row}
     for row in table.rows:
         for term in row:
-            cands = table.candidates.get(term, ())
-            assert term not in cands
-            assert len(cands) == len(row) - 1
+            lowest = next(r for r in table.rows if term in r)
+            assert table.row_of[term] is lowest
+    assert table.row_of["f"] is table.rows[2]
+
+
+def test_hashing_a_table_hashes_at_most_one_term():
+    hashed = []
+
+    class Term(str):
+        def __hash__(self):
+            hashed.append(self)
+            return super().__hash__()
+
+    rows = (tuple(Term(f"w{i}") for i in range(1000)), (Term("a"), Term("b")))
+    table = SynonymTable(rows=rows)
+    assert hashed == []
+    hash(table)
+    assert len(hashed) <= 1
+    # Equal tables still hash equal, and so do the empty ones.
+    plain = SynonymTable(rows=tuple(tuple(str(t) for t in row) for row in rows))
+    assert plain == table
+    assert hash(plain) == hash(table)
+    assert hash(SynonymTable.empty()) == hash(SynonymTable(rows=()))
 
 
 def test_empty_table():
     table = SynonymTable.empty()
     assert table.rows == ()
-    assert table.candidates.get("x", ()) == ()
+    assert table.row_of == {}
 
 
 def test_loads_are_deterministic():
@@ -248,5 +275,4 @@ def test_load_stem_lexicon_ignores_a_leading_bom(kind, tmp_path):
 @pytest.mark.parametrize("kind", ["path", "stream"])
 def test_load_synonym_table_ignores_a_leading_bom(kind, tmp_path):
     table = load_synonym_table(_after_bom(kind, "a0,a1\n", tmp_path))
-    assert table.candidates.get("a0", ()) == ("a1",)
-    assert table.candidates.get("a1", ()) == ("a0",)
+    assert table.row_of == {"a0": ("a0", "a1"), "a1": ("a0", "a1")}

@@ -1,7 +1,10 @@
 """TF, document frequency, IDF, synonym-resolved counts, vectorization."""
 
 import io
+import itertools
 import math
+import string
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 
@@ -9,6 +12,8 @@ import numpy as np
 import pytest
 
 from synsim import (
+    MEASURES,
+    ComparisonConfig,
     ConfigError,
     Corpus,
     DocumentVector,
@@ -19,6 +24,7 @@ from synsim import (
     UnknownDocumentError,
     WeightingConfig,
     ZeroDocumentFrequencyError,
+    anchor_matrix,
     build_vocabulary,
     document_frequency,
     idf,
@@ -135,6 +141,17 @@ class TestDocumentFrequency:
         assert reads == {"a": 1, "b": 1, "c": 1, "d": 1}
         # A term in no row has its traditional df.
         assert document_frequency(corpus, "x", "modified", table) == 2
+
+    def test_modified_memo_outlives_a_freed_table(self):
+        # Rows built from lists are no constants of this code, so the first
+        # is freed with its table, and the second, built right after, would
+        # take its address if the memo did not keep the row.
+        corpus = Corpus([make_doc("d1", ["a"]), make_doc("d2", ["b"]), make_doc("d3", ["c"])])
+        first = SynonymTable(rows=(tuple(["a", "b"]),))
+        assert document_frequency(corpus, "a", "modified", first) == 2
+        del first
+        second = SynonymTable(rows=(tuple(["c", "x"]),))
+        assert document_frequency(corpus, "c", "modified", second) == 1
 
     def test_modified_without_a_table_raises(self, toy_corpus):
         # The corpus's own table is not a silent default here.
@@ -358,3 +375,37 @@ def test_weighting_config_has_no_smoothing_field():
 def test_document_vector_holds_only_weights():
     assert [f.name for f in fields(DocumentVector)] == ["weights"]
     assert DocumentVector({"a": 0.5}).get("a") == 0.5
+
+
+def test_one_wide_row_weights_in_memory_linear_in_its_width():
+    # A copy of the rest of a 5000-term row per term would hold 25 million
+    # references, about 200 MB; the table holds the row once.
+    words = ["".join(w) for w in itertools.product(string.ascii_lowercase, repeat=3)][:5000]
+    text = ",".join(words) + "\ntram,streetcar\n"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = load_synonym_table(io.StringIO(text))
+        corpus = Corpus(
+            [
+                make_doc("d0", [words[7], "tram", "x"]),
+                make_doc("d1", ["streetcar", "x"]),
+                make_doc("d2", [words[-1], words[0], "y"]),
+                make_doc("d3", ["y"]),
+            ],
+            synonym_table=table,
+        )
+        config = WeightingConfig(mode="modified", synonym_table=table)
+        vector = vectorize(corpus.document("d0"), corpus, words, config)
+        report = anchor_matrix(corpus, "d2", corpus.ids, MEASURES, ComparisonConfig())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # d0 holds the row's eighth term, so every row term resolves in d0 and
+    # has the row's modified df of 2 among 4 documents: a weight of 1/3.
+    assert len(table.rows[0]) == 5000
+    assert list(vector.weights) == words
+    assert set(vector.weights.values()) == {1 / 3}
+    assert len(report.rows) == len(corpus.ids) * len(MEASURES)
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
