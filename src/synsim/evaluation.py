@@ -33,7 +33,6 @@ from .weighting import (
     DocumentVector,
     ModifiedIdf,
     WeightingConfig,
-    reached_terms,
     vectorize,
 )
 
@@ -221,24 +220,21 @@ def anchor_matrix(
 
     A term's weight depends on the term, the document and the weighting,
     never on the pair; the pair only keeps the union of the two documents'
-    terms. Outside its own terms, a document can carry a modified weight
-    only for a term whose lowest synonym row has a term in it
-    (``reached_terms``, read from ``SynonymTable.row_of``). So the anchor's
-    own terms are weighted under both schemes once per call. Per target, the
-    target is weighted over its own terms plus, in the modified scheme, the
-    anchor's terms that it reaches, and the anchor adds the target's terms
-    that it reaches; both sides' reached terms come from ``reached_terms``,
-    so ``resolve_count`` is called only for a term that resolves to a
-    positive count. Every weight comes from ``vectorize`` over a sorted
-    vocabulary, so each vector's one sort of its terms is about linear.
-    Scores are bit-identical to weighting both documents over the pair
-    union.
+    terms. So the anchor's own terms are weighted under both schemes once
+    per call. Per target, the target is weighted over its own terms plus,
+    in the modified scheme, the anchor's terms it lacks, and the anchor is
+    weighted over the target's terms it lacks, merged into its own modified
+    weights. ``vectorize`` keeps only the lacked terms that reach the
+    document through their lowest synonym row, so ``resolve_count`` is
+    called only for a term that resolves to a positive count. Every
+    vocabulary is sorted, or two sorted runs, so each vector's one sort of
+    its terms is about linear. Scores are bit-identical to weighting both
+    documents over the pair union.
     """
     anchor = corpus.document(anchor_id)
     if not target_ids:
         raise CorpusError(f"anchor {anchor_id!r} has no targets to compare against")
     traditional, modified = config.weightings(corpus)
-    table = modified.synonym_table
     a_terms = sorted(anchor.counts)
     a_trad = vectorize(anchor, corpus, a_terms, traditional)
     a_own = vectorize(anchor, corpus, a_terms, modified)
@@ -247,10 +243,10 @@ def anchor_matrix(
         target = corpus.document(target_id)
         b_terms = sorted(target.counts)
         b_trad = vectorize(target, corpus, b_terms, traditional)
-        b_reached = reached_terms(anchor.counts, target, table)
-        b_mod = vectorize(target, corpus, [*b_terms, *b_reached], modified)
-        a_reached = reached_terms(target.counts, anchor, table)
-        reached = vectorize(anchor, corpus, a_reached, modified).weights
+        a_lacks = [t for t in a_terms if t not in target.counts]
+        b_mod = vectorize(target, corpus, [*b_terms, *a_lacks], modified)
+        b_lacks = [t for t in b_terms if t not in anchor.counts]
+        reached = vectorize(anchor, corpus, b_lacks, modified).weights
         a_mod = DocumentVector({**a_own.weights, **reached}) if reached else a_own
         for measure in measures:
             traditional_value = similarity(measure, a_trad, b_trad).value

@@ -23,7 +23,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .errors import LexiconFormatError
+from .errors import ConfigError, LexiconFormatError
 from .pipeline import normalize, stem
 
 
@@ -33,12 +33,23 @@ class SynonymTable:
 
     ``rows`` is a tuple of rows, each a tuple of distinct terms, so a table
     is immutable, and one built by hand from plain tuples equals a loaded
-    one with the same rows. ``row_of`` is computed once, on first use, in
-    one pass over the rows. Tables compare by their rows and are hashable,
-    so a table can key a memo.
+    one with the same rows; any other ``rows`` or row raises
+    ``ConfigError``, which names the bad row's index. ``row_of`` is
+    computed once, on first use, in one pass over the rows. Tables compare
+    by their rows and are hashable, so a table can key a memo.
     """
 
     rows: tuple[tuple[str, ...], ...] = ()
+
+    def __post_init__(self):
+        # Checks types only: building a table hashes no term.
+        if not isinstance(self.rows, tuple):
+            raise ConfigError(f"synonym rows must be a tuple, not {type(self.rows).__name__}")
+        for index, row in enumerate(self.rows):
+            if not isinstance(row, tuple):
+                raise ConfigError(
+                    f"synonym row {index} must be a tuple, not {type(row).__name__}"
+                )
 
     @classmethod
     def empty(cls) -> "SynonymTable":

@@ -175,7 +175,8 @@ def resolve_count(
     term with a positive count. The term itself counts zero there, so the
     winner is another term; a term in no row, or with no row term present,
     yields zero. ``table`` is required, as in modified
-    :func:`document_frequency`.
+    :func:`document_frequency`. :func:`vectorize` calls it only for a
+    missing term whose row has a term in ``doc``, so only for a hit.
     """
     if table is None:
         raise ConfigError("mode 'modified' requires a synonym table")
@@ -187,24 +188,6 @@ def resolve_count(
         if count > 0:
             return ResolvedCount(count=count, matched_term=synonym)
     return ResolvedCount(count=0)
-
-
-def reached_terms(
-    terms: Iterable[str], doc: ProcessedDocument, table: SynonymTable
-) -> list[str]:
-    """The ``terms`` outside ``doc`` whose resolved count in ``doc`` is positive.
-
-    These are the terms whose lowest row, read from ``table.row_of`` as in
-    :func:`resolve_count`, has a term in ``doc``; every other term outside
-    ``doc`` resolves to zero there. Order follows ``terms``.
-    """
-    counts, row_of = doc.counts, table.row_of
-    present = counts.keys()
-    return [
-        t
-        for t in terms
-        if (row := row_of.get(t)) and t not in counts and not present.isdisjoint(row)
-    ]
 
 
 def tf(count: int, total_tokens: int) -> float:
@@ -322,6 +305,9 @@ def vectorize(
 
     In modified mode the synonym-resolved count feeds tf, and idf uses the
     resolved document frequency (unless ``modified_idf`` is "raw"). A term
+    ``doc`` lacks reaches it only when the term's lowest row
+    (``table.row_of``) has a term in ``doc``; only such a term is passed to
+    :func:`resolve_count`, so every resolved count is positive. A term
     of df 0, which only a document outside ``corpus`` can hold, has its df
     smoothed to one. Zero weights are not stored. Each term's idf is
     computed once per corpus, df flavor and table, and read from
@@ -330,17 +316,21 @@ def vectorize(
     The weights keep ``vocabulary`` order. The vector sorts its terms once,
     on first use, so a sorted ``vocabulary`` makes that sort about linear.
     """
-    modified = config.mode == "modified"
     idf_mode, table = config.idf_mode, config.synonym_table
     idfs = corpus.idf_memo(idf_mode, table)
     counts, total = doc.counts, doc.total_tokens
+    present = counts.keys()
+    row_of = table.row_of if config.mode == "modified" else {}
     weights: dict[str, float] = {}
     for term in vocabulary:
-        count = counts.get(term, 0)
-        if count == 0 and modified:
+        count = counts.get(term)
+        if count is None:
+            # Every count is at least one, so a missing term resolves to a
+            # positive count exactly when its lowest row has a term here.
+            row = row_of.get(term)
+            if row is None or present.isdisjoint(row):
+                continue
             count = resolve_count(term, doc, table).count
-        if count == 0:
-            continue
         term_idf = idfs.get(term)
         if term_idf is None:
             term_idf = idfs[term] = idf(corpus, term, idf_mode, "plus_one_when_zero", table)

@@ -143,8 +143,8 @@ def test_sim_weights_the_anchor_once_for_every_measure(capsys, monkeypatch):
     assert code == 0
     assert len(out.splitlines()) == 3
     # The anchor: its own terms under both schemes, then the target's terms
-    # that it reaches. The target: its own terms, traditional, and its own
-    # terms plus the anchor's that it reaches, modified.
+    # it lacks, modified. The target: its own terms, traditional, and its
+    # own terms plus the anchor's it lacks, modified.
     assert sorted(doc.id for doc, _ in calls) == ["a01", "a01", "a01", "a02", "a02"]
 
 
@@ -159,6 +159,8 @@ def test_matrix_weights_the_anchor_own_terms_twice_per_call(
     code, _, _ = run(capsys, "matrix", str(tmp_path), "a01", *FIXTURE_FLAGS, "--measures", measures)
     assert code == 0
     anchor_calls = [(doc, terms) for doc, terms in calls if doc.id == "a01"]
+    # Per call, the anchor's own terms once per scheme; per target, the
+    # target's terms the anchor lacks, which vectorize keeps only if reached.
     own = [terms for doc, terms in anchor_calls if terms == tuple(sorted(doc.counts))]
     reached = [terms for doc, terms in anchor_calls if not set(terms) & set(doc.counts)]
     assert len(own) == 2

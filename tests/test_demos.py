@@ -14,9 +14,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     # Demo 01 prints Kazakh text, which the locale's encoding may not hold.
+    # A warning fails the demo, as an EncodingWarning does where the caller
+    # sets PYTHONWARNDEFAULTENCODING, which the child inherits.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

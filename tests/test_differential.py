@@ -1,18 +1,20 @@
 """Differential tests: fast paths against plain references kept here.
 
 ``compare_pair`` and ``anchor_matrix`` weight the anchor's own terms once
-per call and, per pair, resolve only the other side's terms that each side
-reaches through their lowest synonym row (``reached_terms``). The reference
-below is the direct reading of the scheme and calls none of synsim's
-weighting code: it weights both documents over the pair's term union under
-both schemes with ``count / total * log2(n / df)``, finding a resolved count
-by scanning the synonym rows for the lowest one holding the term and a df by
-scanning every document, then computes each measure with plain left-to-right
-loops over that union, sharing no dot product, norm or sorted term order
-with ``synsim.similarity``. Every score must agree bit for bit. Metamorphic
-properties check that the scores do not depend on the corpus's document
-order, on a synonym row no document reaches, or on whether the corpus's own
-table is named explicitly.
+per call and, per pair, each side over the other side's terms it lacks.
+``vectorize`` calls ``resolve_count`` only for a lacked term whose lowest
+synonym row has a term in the document; a property checks that these are
+exactly the lacked terms the reference resolves to a positive count. The
+reference below is the direct reading of the scheme and calls none of
+synsim's weighting code: it weights both documents over the pair's term
+union under both schemes with ``count / total * log2(n / df)``, finding a
+resolved count by scanning the synonym rows for the lowest one holding the
+term and a df by scanning every document, then computes each measure with
+plain left-to-right loops over that union, sharing no dot product, norm or
+sorted term order with ``synsim.similarity``. Every score must agree bit
+for bit. Metamorphic properties check that the scores do not depend on the
+corpus's document order, on a synonym row no document reaches, or on
+whether the corpus's own table is named explicitly.
 
 ``document_frequency`` reads the corpus's posting lists and memoises a
 modified df per synonym row object on the corpus; it is checked against
@@ -35,7 +37,6 @@ that mix pieces with their trailing-separator variants check that every
 entry equals the reference's analysis of its key.
 """
 
-import gc
 import io
 import math
 from unittest import mock
@@ -50,6 +51,7 @@ from synsim import (
     ProcessedDocument,
     RawDocument,
     SynonymTable,
+    WeightingConfig,
     anchor_matrix,
     compare_pair,
     document_frequency,
@@ -57,10 +59,11 @@ from synsim import (
     normalize,
     preprocess,
     resolve_count,
+    vectorize,
 )
 import synsim.pipeline
+import synsim.weighting
 from synsim.pipeline import _ChunkTerms
-from synsim.weighting import reached_terms
 
 TERMS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta")
 
@@ -251,12 +254,23 @@ def test_naming_the_corpus_table_changes_no_score(term_lists, table, config, dat
 
 @settings(max_examples=150, deadline=None)
 @given(documents, tables, st.lists(st.sampled_from(TERMS), max_size=8))
-def test_reached_terms_are_the_missing_terms_that_resolve(term_lists, table, terms):
-    doc = ProcessedDocument.from_terms("d0", term_lists[0])
-    expected = [
-        t for t in terms if t not in doc.counts and resolve_count(t, doc, table).count > 0
+def test_vectorize_resolves_exactly_the_missing_terms_that_resolve(term_lists, table, terms):
+    corpus = build_corpus(term_lists, table)
+    doc = corpus.docs[0]
+    resolved = []
+
+    def recorded(term, *args):
+        resolved.append(term)
+        return resolve_count(term, *args)
+
+    config = WeightingConfig(mode="modified", synonym_table=table)
+    with mock.patch.object(synsim.weighting, "resolve_count", recorded):
+        vectorize(doc, corpus, terms, config)
+    assert resolved == [
+        t
+        for t in terms
+        if t not in doc.counts and reference_count(t, doc, "modified", table.rows) > 0
     ]
-    assert reached_terms(terms, doc, table) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -281,7 +295,9 @@ def test_modified_df_memo_serves_each_row_and_table_its_own(term_lists, first, s
     # twice, in two orders, so most answers come from the corpus's memo.
     # The first table is freed before the second is loaded, so the second's
     # rows may take the addresses of the first's: a memo keyed by a row's
-    # identity must not serve them the freed rows' entries.
+    # identity must not serve them the freed rows' entries. A table holds no
+    # reference cycle, so ``del`` frees it; a full collection would empty
+    # the tuple free lists and make that reuse rare.
     corpus = build_corpus(term_lists, None)
     terms = [*TERMS, "absent"]
 
@@ -294,7 +310,6 @@ def test_modified_df_memo_serves_each_row_and_table_its_own(term_lists, first, s
     table = load_synonym_table(io.StringIO(first))
     check(table)
     del table
-    gc.collect()
     check(load_synonym_table(io.StringIO(second)))
 
 

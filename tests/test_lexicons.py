@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synsim import (
+    ConfigError,
+    Corpus,
     LexiconFormatError,
     ProcessedDocument,
     SynonymTable,
+    WeightingConfig,
     load_stem_lexicon,
     load_stopwords,
     load_synonym_table,
     normalize,
+    vectorize,
 )
-from synsim.weighting import reached_terms
 
 
 def test_load_stopwords_basic():
@@ -145,16 +148,35 @@ def test_load_synonym_table_lowest_row_wins():
     assert table.row_of["c0"] is table.rows[1]
 
 
-def test_reached_terms_follow_the_lowest_row_candidates():
+def test_modified_weights_follow_the_lowest_row_candidates():
     # b's lowest row is the first, so a document holding b reaches a and
-    # c, while one holding c reaches nothing.
+    # c, while one holding c reaches nothing. The outsiders keep every
+    # modified df below the corpus size, so no reached term weighs 0.
     table = load_synonym_table(io.StringIO("a,b\nb,c\n"))
     terms = ["a", "b", "c", "x"]
     holding_b = ProcessedDocument.from_terms("d0", ["b"])
     holding_c = ProcessedDocument.from_terms("d1", ["c"])
-    assert reached_terms(terms, holding_b, table) == ["a", "c"]
-    assert reached_terms(terms, holding_c, table) == []
-    assert reached_terms(terms, holding_b, SynonymTable.empty()) == []
+    outsiders = [ProcessedDocument.from_terms(f"o{i}", ["y"]) for i in range(2)]
+    corpus = Corpus([holding_b, holding_c, *outsiders], synonym_table=table)
+
+    def stored(doc, table):
+        config = WeightingConfig(mode="modified", synonym_table=table)
+        return list(vectorize(doc, corpus, terms, config).weights)
+
+    assert stored(holding_b, table) == ["a", "b", "c"]
+    assert stored(holding_c, table) == ["c"]
+    assert stored(holding_b, SynonymTable.empty()) == ["b"]
+
+
+def test_a_table_row_must_be_a_tuple():
+    # A list row cannot be hashed where weighting keys memos by rows, and a
+    # string row would be split into characters, so neither is coerced.
+    with pytest.raises(ConfigError, match="row 1 must be a tuple, not list"):
+        SynonymTable(rows=(("a", "b"), ["c", "d"]))
+    with pytest.raises(ConfigError, match="row 0 must be a tuple, not str"):
+        SynonymTable(rows=("ab",))
+    with pytest.raises(ConfigError, match="rows must be a tuple, not list"):
+        SynonymTable(rows=[("a", "b")])
 
 
 def test_hand_built_table_equals_the_loaded_one():
