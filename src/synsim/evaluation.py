@@ -5,6 +5,9 @@ document against a group of similar documents and a group of dissimilar
 ones, under both weighting schemes, then summarize how much the
 synonym-aware scheme moved each measure (the per-group delta) and whether
 it moved similar pairs more than dissimilar ones (the gap).
+
+Its records only carry values, so each is a ``typing.NamedTuple``:
+immutable, hashable unless it holds a dict, and a tuple of its fields.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ import csv
 import io
 import json
 import operator
-from dataclasses import asdict, astuple, dataclass
 from functools import reduce
 from pathlib import Path
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ConfigError,
@@ -39,9 +41,8 @@ from .weighting import (
 FORMATS = ("json", "csv")
 
 
-@dataclass(frozen=True)
-class ComparisonConfig:
-    """Settings shared by every pair comparison in a report.
+class ComparisonConfig(NamedTuple):
+    """Settings shared by every pair comparison in a report; a named tuple.
 
     ``synonym_table`` of None means "use the table the corpus was built
     with", which :meth:`weightings` alone decides; an explicitly empty
@@ -73,9 +74,8 @@ class ComparisonConfig:
         )
 
 
-@dataclass(frozen=True)
-class PairResult:
-    """Scores of one (anchor, target) pair under one measure."""
+class PairResult(NamedTuple):
+    """Scores of one (anchor, target) pair under one measure, in CSV column order."""
 
     anchor_id: str
     target_id: str
@@ -85,18 +85,16 @@ class PairResult:
     delta: float
 
 
-@dataclass(frozen=True)
-class MeasureAverages:
-    """Per-measure arithmetic means over one group of pairs."""
+class MeasureAverages(NamedTuple):
+    """Per-measure arithmetic means over one group of pairs; a named tuple."""
 
     traditional: float
     modified: float
     delta: float
 
 
-@dataclass(frozen=True)
-class ReportTable:
-    """All pair scores for one anchor against a target group."""
+class ReportTable(NamedTuple):
+    """All pair scores for one anchor against a target group; a named tuple."""
 
     anchor_id: str
     rows: tuple[PairResult, ...]
@@ -107,18 +105,16 @@ class ReportTable:
         return tuple(self.averages)
 
 
-@dataclass(frozen=True)
-class DeltaEntry:
-    """How much the modified scheme moved one measure, per group."""
+class DeltaEntry(NamedTuple):
+    """How much the modified scheme moved one measure, per group; a named tuple."""
 
     similar_delta: float
     dissimilar_delta: float
     gap: float
 
 
-@dataclass(frozen=True)
-class DeltaSummary:
-    """Per-measure similar/dissimilar deltas and their difference."""
+class DeltaSummary(NamedTuple):
+    """Per-measure similar/dissimilar deltas and their difference; a named tuple."""
 
     entries: dict[str, DeltaEntry]
 
@@ -216,7 +212,9 @@ def anchor_matrix(
     """Score ``anchor_id`` against every target, with per-measure averages.
 
     Rows are ordered by target (in the given order), then by measure. An
-    unknown anchor is reported before an empty target list.
+    unknown anchor is reported first; then a ``str`` as ``target_ids`` or
+    ``measures``, whose characters would be read as ids or measures; then
+    an empty target list.
 
     A term's weight depends on the term, the document and the weighting,
     never on the pair; the pair only keeps the union of the two documents'
@@ -232,6 +230,9 @@ def anchor_matrix(
     documents over the pair union.
     """
     anchor = corpus.document(anchor_id)
+    for name, value in (("target_ids", target_ids), ("measures", measures)):
+        if isinstance(value, str):
+            raise ConfigError(f"{name} must be a sequence of strings, not the str {value!r}")
     if not target_ids:
         raise CorpusError(f"anchor {anchor_id!r} has no targets to compare against")
     traditional, modified = config.weightings(corpus)
@@ -308,27 +309,26 @@ def render_report(report, format: str = "json") -> str:
 
     JSON carries full float precision and parses back to the exact stored
     values; CSV is a display format with scores rendered to six decimals.
+
+    Records are read as tuples: a table's CSV rows are its ``rows``, then
+    ``(anchor, "average", measure, *averages)`` per measure. JSON rows zip
+    the CSV header with each row, as ``anchor`` and ``target`` are not field
+    names; JSON averages and delta entries map field names to values.
     """
     check_choice("format", format, FORMATS)
     if isinstance(report, ReportTable):
         header = ("anchor", "target", "measure", "traditional", "modified", "delta")
-        pairs = [
-            (r.anchor_id, r.target_id, r.measure, r.traditional, r.modified, r.delta)
-            for r in report.rows
-        ]
+        averages = report.averages.items()
         payload = {
             "anchor": report.anchor_id,
-            "rows": [dict(zip(header, pair)) for pair in pairs],
-            "averages": {m: asdict(a) for m, a in report.averages.items()},
+            "rows": [dict(zip(header, row)) for row in report.rows],
+            "averages": {m: dict(zip(a._fields, a)) for m, a in averages},
         }
-        rows = pairs + [
-            (report.anchor_id, "average", m, *astuple(a))
-            for m, a in report.averages.items()
-        ]
+        rows = [*report.rows, *((report.anchor_id, "average", m, *a) for m, a in averages)]
     elif isinstance(report, DeltaSummary):
         header = ("measure", "similar_delta", "dissimilar_delta", "gap")
-        payload = {"measures": {m: asdict(e) for m, e in report.entries.items()}}
-        rows = [(m, *astuple(e)) for m, e in report.entries.items()]
+        payload = {"measures": {m: dict(zip(e._fields, e)) for m, e in report.entries.items()}}
+        rows = [(m, *e) for m, e in report.entries.items()]
     else:
         raise ConfigError(f"cannot render {type(report).__name__}")
     if format == "json":

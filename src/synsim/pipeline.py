@@ -11,12 +11,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from sys import intern
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping, NamedTuple
 
 
-@dataclass(frozen=True)
-class RawDocument:
-    """An unprocessed input text with a caller-chosen id."""
+class RawDocument(NamedTuple):
+    """An unprocessed input text with a caller-chosen id; a named tuple."""
 
     id: str
     text: str

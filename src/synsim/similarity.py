@@ -21,7 +21,7 @@ in sorted term order, so results are reproducible and exactly symmetric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import check_choice
 from .weighting import DocumentVector
@@ -29,9 +29,8 @@ from .weighting import DocumentVector
 MEASURES = ("cosine", "jaccard", "dice")
 
 
-@dataclass(frozen=True)
-class SimilarityScore:
-    """A similarity value tagged with the measure that produced it."""
+class SimilarityScore(NamedTuple):
+    """A similarity value tagged with the measure that produced it; a named tuple."""
 
     value: float
     measure: str

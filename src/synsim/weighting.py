@@ -28,7 +28,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Mapping, Sequence, get_args
+from typing import Iterable, Literal, Mapping, NamedTuple, Sequence, get_args
 
 from .errors import (
     ConfigError,
@@ -78,9 +78,8 @@ class WeightingConfig:
         return "traditional"
 
 
-@dataclass(frozen=True)
-class ResolvedCount:
-    """Occurrence count after synonym resolution.
+class ResolvedCount(NamedTuple):
+    """Occurrence count after synonym resolution; a named tuple.
 
     ``matched_term`` names the synonym that supplied the count; it is None
     when the count came from the term itself or is zero.

@@ -246,6 +246,21 @@ def test_anchor_matrix_no_targets(planted):
         anchor_matrix(planted, "q", [])
 
 
+def test_anchor_matrix_rejects_a_str_of_targets_or_measures(tmp_path):
+    # A str is a sequence of one-character strs: "ab" would score the
+    # documents "a" and "b", and "cosine" would fail on the measure "c".
+    directory = write_corpus(
+        tmp_path / "corpus", {"a": "alpha", "b": "beta", "ab": "alpha beta", "q": "alpha"}
+    )
+    corpus = load_corpus(directory, EMPTY_STOPS, EMPTY_LEX)
+    with pytest.raises(ConfigError, match="target_ids"):
+        anchor_matrix(corpus, "q", "ab", ["cosine"])
+    with pytest.raises(ConfigError, match="measures"):
+        anchor_matrix(corpus, "q", ["ab"], "cosine")
+    with pytest.raises(UnknownDocumentError):
+        anchor_matrix(corpus, "missing", "ab")
+
+
 def test_concurrent_readers_share_the_idf_memos(fixture_corpus):
     # Threads fill one corpus's memos at once; a race may only repeat work.
     want = anchor_matrix(fixture_corpus, "a01", fixture_corpus.ids)

@@ -1,8 +1,11 @@
-"""The package's public names, no dead code behind them, and no runtime dependency."""
+"""The package's public names and records, no dead code behind them, and no runtime dependency."""
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
+
+import pytest
 
 import synsim
 
@@ -82,3 +85,74 @@ def test_package_imports_only_the_standard_library():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
     found = {n: non_stdlib_imports(t) for n, t in trees.items()}
     assert {n: names for n, names in found.items() if names} == {}
+
+
+PAIR = {
+    "anchor_id": "q",
+    "target_id": "d",
+    "measure": "cosine",
+    "traditional": 0.25,
+    "modified": 0.5,
+    "delta": 0.25,
+}
+AVERAGES = {"traditional": 0.25, "modified": 0.5, "delta": 0.25}
+ENTRY = {"similar_delta": 0.25, "dissimilar_delta": 0.125, "gap": 0.125}
+TABLE = synsim.SynonymTable((("alpha", "beta"),))
+
+# Each exported record: keyword arguments naming every field in declaration
+# order, then one field and a different value for it.
+RECORDS = {
+    "RawDocument": ({"id": "q", "text": "alpha beta"}, "text", "beta"),
+    "ProcessedDocument": (
+        {"id": "q", "counts": {"alpha": 2}, "total_tokens": 2}, "id", "d",
+    ),
+    "SynonymTable": ({"rows": (("alpha", "beta"),)}, "rows", (("alpha", "gamma"),)),
+    "WeightingConfig": (
+        {"mode": "modified", "synonym_table": TABLE, "modified_idf": "resolved"},
+        "modified_idf",
+        "raw",
+    ),
+    "ResolvedCount": ({"count": 2, "matched_term": "beta"}, "count", 3),
+    "DocumentVector": ({"weights": {"alpha": 0.5}}, "weights", {"alpha": 0.25}),
+    "SimilarityScore": ({"value": 0.5, "measure": "cosine"}, "value", 0.25),
+    "ComparisonConfig": (
+        {"modified_idf": "raw", "synonym_table": TABLE}, "modified_idf", "resolved",
+    ),
+    "PairResult": (PAIR, "delta", 0.0),
+    "MeasureAverages": (AVERAGES, "modified", 0.25),
+    "ReportTable": (
+        {
+            "anchor_id": "q",
+            "rows": (synsim.PairResult(**PAIR),),
+            "averages": {"cosine": synsim.MeasureAverages(**AVERAGES)},
+        },
+        "anchor_id",
+        "d",
+    ),
+    "DeltaEntry": (ENTRY, "gap", 0.0),
+    "DeltaSummary": ({"entries": {"cosine": synsim.DeltaEntry(**ENTRY)}}, "entries", {}),
+}
+# A record with no field check and no cached state is a named tuple.
+DATACLASSES = {"ProcessedDocument", "SynonymTable", "WeightingConfig", "DocumentVector"}
+
+
+def field_names(cls) -> tuple[str, ...]:
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return cls._fields
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_fields_equality_and_immutability(name):
+    cls = getattr(synsim, name)
+    kwargs, field, other = RECORDS[name]
+    assert name in synsim.__all__
+    assert dataclasses.is_dataclass(cls) == (name in DATACLASSES)
+    assert field_names(cls) == tuple(kwargs)
+    record = cls(**kwargs)
+    assert all(getattr(record, k) == v for k, v in kwargs.items())
+    assert record == cls(**kwargs)
+    assert record != cls(**{**kwargs, field: other})
+    with pytest.raises(AttributeError):
+        setattr(record, field, other)
+    assert getattr(record, field) == kwargs[field]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synsim import ConfigError, DocumentVector, cosine, dice, dot, jaccard, similarity
+from synsim.evaluation import _sum_left_to_right
 
 
 def vec(values) -> dict:
@@ -51,6 +52,12 @@ def test_dot_and_norm_add_left_to_right():
     # give 1.0000000000000002 for both.
     assert dot({"a": 1.0, "b": 1e-16, "c": 1e-16}, {"a": 1.0, "b": 1.0, "c": 1.0}) == 1.0
     assert DocumentVector({"a": 1.0, "b": 1e-8, "c": 1e-8}).norm_squared == 1.0
+
+
+def test_report_averages_add_left_to_right():
+    # anchor_matrix averages its rows through this sum; built-in sum() since
+    # Python 3.12 would give 1.0000000000000002.
+    assert _sum_left_to_right([1.0, 1e-16, 1e-16]) == 1.0
 
 
 def test_dot_and_jaccard_match_union_sums_bitwise():
