@@ -12,7 +12,6 @@ immutable, hashable unless it holds a dict, and a tuple of its fields.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import operator
@@ -333,6 +332,9 @@ def render_report(report, format: str = "json") -> str:
         raise ConfigError(f"cannot render {type(report).__name__}")
     if format == "json":
         return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    # Imported here, so that a run that writes no CSV does not load it.
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)

@@ -18,17 +18,15 @@ way, all three are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping
 
 from .errors import ConfigError, LexiconFormatError
-from .pipeline import normalize, stem
+from .pipeline import _Frozen, normalize, stem
 
 
-@dataclass(frozen=True)
-class SynonymTable:
+class SynonymTable(_Frozen):
     """Ordered synonym rows, the only field; ``row_of`` derives from them.
 
     ``rows`` is a tuple of rows, each a tuple of distinct terms, so a table
@@ -39,17 +37,18 @@ class SynonymTable:
     by their rows and are hashable, so a table can key a memo.
     """
 
-    rows: tuple[tuple[str, ...], ...] = ()
+    _fields = __match_args__ = ("rows",)
 
-    def __post_init__(self):
+    def __init__(self, rows: tuple[tuple[str, ...], ...] = ()):
         # Checks types only: building a table hashes no term.
-        if not isinstance(self.rows, tuple):
-            raise ConfigError(f"synonym rows must be a tuple, not {type(self.rows).__name__}")
-        for index, row in enumerate(self.rows):
+        if not isinstance(rows, tuple):
+            raise ConfigError(f"synonym rows must be a tuple, not {type(rows).__name__}")
+        for index, row in enumerate(rows):
             if not isinstance(row, tuple):
                 raise ConfigError(
                     f"synonym row {index} must be a tuple, not {type(row).__name__}"
                 )
+        self.__dict__["rows"] = rows
 
     @classmethod
     def empty(cls) -> "SynonymTable":

@@ -8,7 +8,6 @@ word, and reduces a raw document to a bag of stemmed term counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, groupby
 from sys import intern
 from typing import Container, Iterable, Mapping, NamedTuple
@@ -21,43 +20,78 @@ class RawDocument(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class ProcessedDocument:
+class _Frozen:
+    """Base of the records that check their fields or cache derived state.
+
+    A subclass names its fields in order in ``_fields``, as a named tuple
+    does, and its ``__init__`` stores them in the instance ``__dict__``,
+    where ``cached_property`` stores derived values too. This base compares
+    records of one type by their fields, hashes the tuple of the fields,
+    shows them as ``Name(field=value, ...)`` and raises ``AttributeError``
+    on any assignment or deletion. Pickling and copying restore the
+    ``__dict__`` as it is, cached values included.
+    """
+
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ProcessedDocument(_Frozen):
     """A document reduced to stemmed-term counts.
 
     Every count is at least 1. ``total_tokens`` is the number of tokens that
     survived filtering, which equals the sum of all counts; it is the
     term-frequency denominator. The constructor checks both rules;
     ``preprocess`` builds through ``from_terms``, which skips the check
-    because counting guarantees both rules.
+    because counting guarantees both rules. ``counts`` defaults to a new
+    empty dict.
     """
 
-    id: str
-    counts: Mapping[str, int] = field(default_factory=dict)
-    total_tokens: int = 0
+    _fields = __match_args__ = ("id", "counts", "total_tokens")
 
-    def __post_init__(self):
-        if self.counts and min(self.counts.values()) < 1:
-            term = next(t for t, c in self.counts.items() if c < 1)
-            raise ValueError(f"document {self.id!r}: term {term!r} has a count below 1")
-        if self.total_tokens != sum(self.counts.values()):
+    def __init__(self, id: str, counts: Mapping[str, int] | None = None, total_tokens: int = 0):
+        if counts is None:
+            counts = {}
+        if counts and min(counts.values()) < 1:
+            term = next(t for t, c in counts.items() if c < 1)
+            raise ValueError(f"document {id!r}: term {term!r} has a count below 1")
+        if total_tokens != sum(counts.values()):
             raise ValueError(
-                f"document {self.id!r}: total_tokens={self.total_tokens} "
-                f"does not equal the sum of counts {sum(self.counts.values())}"
+                f"document {id!r}: total_tokens={total_tokens} "
+                f"does not equal the sum of counts {sum(counts.values())}"
             )
+        self.__dict__.update(id=id, counts=counts, total_tokens=total_tokens)
 
     @classmethod
     def from_terms(cls, doc_id: str, terms: Iterable[str]) -> "ProcessedDocument":
         """Count already-stemmed terms, in first-occurrence order.
 
-        Built without ``__post_init__``: each counted term occurs at least
-        once, and the counts add up to the number of terms.
+        Built without ``__init__``'s check: each counted term occurs at
+        least once, and the counts add up to the number of terms.
         """
         counts = Counter(terms)
         doc = object.__new__(cls)
-        object.__setattr__(doc, "id", doc_id)
-        object.__setattr__(doc, "counts", dict(counts))
-        object.__setattr__(doc, "total_tokens", sum(counts.values()))
+        doc.__dict__.update(id=doc_id, counts=dict(counts), total_tokens=sum(counts.values()))
         return doc
 
 

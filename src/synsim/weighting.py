@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Literal, Mapping, NamedTuple, Sequence, get_args
 
@@ -39,7 +38,7 @@ from .errors import (
     check_choice,
 )
 from .lexicons import SynonymTable
-from .pipeline import ProcessedDocument
+from .pipeline import ProcessedDocument, _Frozen
 
 Mode = Literal["traditional", "modified"]
 Smoothing = Literal["plus_one_when_zero", "none"]
@@ -50,8 +49,7 @@ SMOOTHINGS = get_args(Smoothing)
 MODIFIED_IDFS = get_args(ModifiedIdf)
 
 
-@dataclass(frozen=True)
-class WeightingConfig:
+class WeightingConfig(_Frozen):
     """How document vectors are to be built.
 
     ``modified_idf`` selects the document-frequency flavor used by the
@@ -60,15 +58,19 @@ class WeightingConfig:
     A df of zero is always smoothed to one (see :func:`vectorize`).
     """
 
-    mode: Mode = "traditional"
-    synonym_table: SynonymTable | None = None
-    modified_idf: ModifiedIdf = "resolved"
+    _fields = __match_args__ = ("mode", "synonym_table", "modified_idf")
 
-    def __post_init__(self):
-        check_choice("mode", self.mode, MODES)
-        check_choice("modified_idf", self.modified_idf, MODIFIED_IDFS)
-        if self.mode == "modified" and self.synonym_table is None:
+    def __init__(
+        self,
+        mode: Mode = "traditional",
+        synonym_table: SynonymTable | None = None,
+        modified_idf: ModifiedIdf = "resolved",
+    ):
+        check_choice("mode", mode, MODES)
+        check_choice("modified_idf", modified_idf, MODIFIED_IDFS)
+        if mode == "modified" and synonym_table is None:
             raise ConfigError("mode 'modified' requires a synonym table")
+        self.__dict__.update(mode=mode, synonym_table=synonym_table, modified_idf=modified_idf)
 
     @property
     def idf_mode(self) -> Mode:
@@ -264,15 +266,18 @@ def build_vocabulary(a: ProcessedDocument, b: ProcessedDocument) -> tuple[str, .
     return tuple(sorted(set(a.counts) | set(b.counts)))
 
 
-@dataclass(frozen=True)
-class DocumentVector:
+class DocumentVector(_Frozen):
     """Sparse TF-IDF vector: ``weights``, its only field; missing terms are zero.
 
-    Its stored terms in sorted order are found once, on first use, and
-    shared by :attr:`norm_squared` and every dot product that walks them.
+    ``weights`` defaults to a new empty dict. Its stored terms in sorted
+    order are found once, on first use, and shared by :attr:`norm_squared`
+    and every dot product that walks them.
     """
 
-    weights: Mapping[str, float] = field(default_factory=dict)
+    _fields = __match_args__ = ("weights",)
+
+    def __init__(self, weights: Mapping[str, float] | None = None):
+        self.__dict__["weights"] = {} if weights is None else weights
 
     def get(self, term: str) -> float:
         return self.weights.get(term, 0.0)

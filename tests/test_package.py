@@ -1,7 +1,11 @@
 """The package's public names and records, no dead code behind them, and no runtime dependency."""
 
 import ast
+import copy
 import dataclasses
+import os
+import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -132,14 +136,6 @@ RECORDS = {
     "DeltaEntry": (ENTRY, "gap", 0.0),
     "DeltaSummary": ({"entries": {"cosine": synsim.DeltaEntry(**ENTRY)}}, "entries", {}),
 }
-# A record with no field check and no cached state is a named tuple.
-DATACLASSES = {"ProcessedDocument", "SynonymTable", "WeightingConfig", "DocumentVector"}
-
-
-def field_names(cls) -> tuple[str, ...]:
-    if dataclasses.is_dataclass(cls):
-        return tuple(f.name for f in dataclasses.fields(cls))
-    return cls._fields
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -147,12 +143,117 @@ def test_record_fields_equality_and_immutability(name):
     cls = getattr(synsim, name)
     kwargs, field, other = RECORDS[name]
     assert name in synsim.__all__
-    assert dataclasses.is_dataclass(cls) == (name in DATACLASSES)
-    assert field_names(cls) == tuple(kwargs)
+    assert not dataclasses.is_dataclass(cls)
+    assert cls._fields == cls.__match_args__ == tuple(kwargs)
     record = cls(**kwargs)
+    assert record == cls(*kwargs.values())
+    # Only the named tuples equal a plain tuple of their values.
+    assert (record == tuple(kwargs.values())) == issubclass(cls, tuple)
     assert all(getattr(record, k) == v for k, v in kwargs.items())
     assert record == cls(**kwargs)
     assert record != cls(**{**kwargs, field: other})
     with pytest.raises(AttributeError):
         setattr(record, field, other)
     assert getattr(record, field) == kwargs[field]
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) == kwargs[field]
+
+
+def round_trips(record) -> tuple:
+    return pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_pickle_and_copy_to_equal_records_of_their_type(name):
+    cls = getattr(synsim, name)
+    record = cls(**RECORDS[name][0])
+    for twin in round_trips(record):
+        assert type(twin) is cls
+        assert twin == record
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "cached"])
+def test_copies_give_the_cached_values_of_the_original(warm):
+    table = synsim.SynonymTable((("a", "b"), ("b", "c")))
+    vector = synsim.DocumentVector({"b": 0.5, "a": 0.25})
+    if warm:
+        # The copies then carry the stored values.
+        assert table.row_of and vector.norm_squared
+    for twin in round_trips(table):
+        assert twin.row_of == {"a": ("a", "b"), "b": ("a", "b"), "c": ("b", "c")}
+        assert twin.row_of["b"] is twin.rows[0]
+    for twin in round_trips(vector):
+        assert twin.norm_squared == 0.3125
+        assert twin._terms == ("a", "b")
+
+
+def test_records_that_check_or_cache_hash_their_fields_unless_they_hold_a_dict():
+    assert hash(synsim.WeightingConfig("modified", TABLE)) == hash(("modified", TABLE, "resolved"))
+    # A table hashes its first term alone.
+    assert hash(TABLE) == hash(("alpha",))
+    for record in (synsim.ProcessedDocument("q"), synsim.DocumentVector()):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(record)
+
+
+def test_records_that_check_or_cache_keep_their_repr():
+    pins = [
+        (
+            synsim.WeightingConfig(),
+            "WeightingConfig(mode='traditional', synonym_table=None, modified_idf='resolved')",
+        ),
+        (
+            synsim.WeightingConfig("modified", TABLE, "raw"),
+            "WeightingConfig(mode='modified', synonym_table=SynonymTable(rows=(('alpha', 'beta'),)),"
+            " modified_idf='raw')",
+        ),
+        (synsim.SynonymTable(), "SynonymTable(rows=())"),
+        (
+            synsim.ProcessedDocument("q", {"alpha": 2}, 2),
+            "ProcessedDocument(id='q', counts={'alpha': 2}, total_tokens=2)",
+        ),
+        (synsim.ProcessedDocument("q"), "ProcessedDocument(id='q', counts={}, total_tokens=0)"),
+        (
+            synsim.ProcessedDocument.from_terms("q", ["b", "a", "b"]),
+            "ProcessedDocument(id='q', counts={'b': 2, 'a': 1}, total_tokens=3)",
+        ),
+        (synsim.DocumentVector(), "DocumentVector(weights={})"),
+        (synsim.DocumentVector({"alpha": 0.5}), "DocumentVector(weights={'alpha': 0.5})"),
+    ]
+    for record, text in pins:
+        assert repr(record) == text
+        # A filled cache is not a field and does not show.
+        for cached in ("row_of", "norm_squared"):
+            getattr(record, cached, None)
+        assert repr(record) == text
+
+
+def test_importing_the_cli_loads_no_reflection_module_and_csv_only_to_write_csv():
+    table = synsim.ReportTable(
+        anchor_id="q",
+        rows=(synsim.PairResult(**PAIR),),
+        averages={"cosine": synsim.MeasureAverages(**AVERAGES)},
+    )
+    # The modules the interpreter loads at start, site's included, are
+    # taken away, so only what the import itself loads is left.
+    script = f"""
+import sys
+before = set(sys.modules)
+import synsim.cli
+loaded = set(sys.modules) - before
+from synsim import MeasureAverages, PairResult, ReportTable, render_report
+print(sorted(loaded))
+print(render_report({table!r}, "csv"), end="")
+"""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, encoding="utf-8", env=env, check=True
+    )
+    first, _, csv_text = done.stdout.partition("\n")
+    loaded = set(ast.literal_eval(first))
+    assert "synsim.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"} == set()
+    assert csv_text == synsim.render_report(table, "csv")
+    assert csv_text.startswith("anchor,target,measure,traditional,modified,delta\nq,d,cosine,0.25")
+    assert done.stderr == ""

@@ -6,7 +6,6 @@ import math
 import string
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -369,11 +368,12 @@ def test_build_vocabulary_empty():
 
 
 def test_weighting_config_has_no_smoothing_field():
-    assert [f.name for f in fields(WeightingConfig)] == ["mode", "synonym_table", "modified_idf"]
+    fields = ["mode", "synonym_table", "modified_idf"]
+    assert list(WeightingConfig._fields) == list(vars(WeightingConfig())) == fields
 
 
 def test_document_vector_holds_only_weights():
-    assert [f.name for f in fields(DocumentVector)] == ["weights"]
+    assert list(DocumentVector._fields) == list(vars(DocumentVector())) == ["weights"]
     assert DocumentVector({"a": 0.5}).get("a") == 0.5
 
 
