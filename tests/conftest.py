@@ -16,6 +16,7 @@ from synsim import (
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 TRANSIT = FIXTURES / "corpus" / "transit"
 ORCHARD = FIXTURES / "corpus" / "orchard"
+KK = FIXTURES / "kk"
 
 
 @pytest.fixture
@@ -54,4 +55,17 @@ def fixture_corpus(fixture_stopwords, fixture_lexicon, fixture_table) -> Corpus:
         stopwords=fixture_stopwords,
         lexicon=fixture_lexicon,
         synonym_table=fixture_table,
+    )
+
+
+@pytest.fixture(scope="session")
+def kk_corpus() -> Corpus:
+    """The Kazakh set: oil cluster m01-m05, steppe cluster s01-s05, with
+    its own stopwords, stems and synonym table attached."""
+    lexicon = load_stem_lexicon(KK / "stems.tsv")
+    return load_corpus(
+        [KK / "corpus" / "oil", KK / "corpus" / "steppe"],
+        stopwords=load_stopwords(KK / "stopwords.txt"),
+        lexicon=lexicon,
+        synonym_table=load_synonym_table(KK / "synonyms.txt", lexicon),
     )

@@ -12,7 +12,8 @@ resolved count by scanning the synonym rows for the lowest one holding the
 term and a df by scanning every document, then computes each measure with
 plain left-to-right loops over that union, sharing no dot product, norm or
 sorted term order with ``synsim.similarity``. Every score must agree bit
-for bit. Metamorphic properties check that the scores do not depend on the
+for bit, on generated corpora and on every pair of the Kazakh fixture
+set. Metamorphic properties check that the scores do not depend on the
 corpus's document order, on a synonym row no document reaches, or on
 whether the corpus's own table is named explicitly.
 
@@ -41,6 +42,7 @@ import io
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,6 +175,17 @@ def test_anchor_matrix_skips_a_reached_term_absent_from_the_corpus():
     report = anchor_matrix(corpus, "d0", ["d2"], MEASURES, config)
     for row in report.rows:
         assert hexed(row) == reference_scores(corpus, "d0", "d2", row.measure, config)
+
+
+@pytest.mark.parametrize("modified_idf", ("resolved", "raw"))
+def test_compare_pair_matches_reference_on_every_kazakh_pair(kk_corpus, modified_idf):
+    # Real stemmed Kazakh text, with rows reached only through inflected forms.
+    config = ComparisonConfig(modified_idf)
+    for id_a in kk_corpus.ids:
+        for id_b in kk_corpus.ids:
+            for measure in MEASURES:
+                got = compare_pair(kk_corpus, id_a, id_b, measure, config)
+                assert hexed(got) == reference_scores(kk_corpus, id_a, id_b, measure, config)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,8 +1,9 @@
-"""Byte-for-byte CLI output on the fixture corpus.
+"""Byte-for-byte CLI output on the fixture corpora.
 
 Each file under golden/ was written by the CLI before a rewrite of the
 code that produces it; any change to scores or formatting shows up here
-as a diff.
+as a diff. Each case holds its full argv, lexicon flags included, so the
+English and the Kazakh cases each name their own lexicons.
 """
 
 import json
@@ -15,50 +16,58 @@ from synsim.cli import main
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 TRANSIT = FIXTURES / "corpus" / "transit"
 ORCHARD = FIXTURES / "corpus" / "orchard"
+KK = FIXTURES / "kk"
+OIL = KK / "corpus" / "oil"
+STEPPE = KK / "corpus" / "steppe"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TEXTS = Path(__file__).resolve().parent / "texts"
 
-FIXTURE_FLAGS = [
-    "--stopwords", str(FIXTURES / "stopwords.txt"),
-    "--stems", str(FIXTURES / "stems.tsv"),
-    "--synonyms", str(FIXTURES / "synonyms.txt"),
-]
+
+def lexicon_flags(root):
+    """The three lexicon flags for the fixture set under ``root``."""
+    return [
+        "--stopwords", str(root / "stopwords.txt"),
+        "--stems", str(root / "stems.tsv"),
+        "--synonyms", str(root / "synonyms.txt"),
+    ]
+
+
+EN_FLAGS = lexicon_flags(FIXTURES)
+KK_FLAGS = lexicon_flags(KK)
+A01_A02 = [str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT)]
 
 CASES = {
-    "report.json": ["report", str(TRANSIT), str(ORCHARD), "a01", "--format", "json"],
-    "report.csv": ["report", str(TRANSIT), str(ORCHARD), "a01", "--format", "csv"],
-    "matrix.json": ["matrix", str(TRANSIT), "a01", "--format", "json"],
-    "matrix.csv": ["matrix", str(TRANSIT), "a01", "--format", "csv"],
-    "vector.txt": ["vector", str(TRANSIT), "a01"],
-    "preprocess.txt": ["preprocess", str(TRANSIT / "a01.txt")],
+    "report.json": ["report", str(TRANSIT), str(ORCHARD), "a01", "--format", "json", *EN_FLAGS],
+    "report.csv": ["report", str(TRANSIT), str(ORCHARD), "a01", "--format", "csv", *EN_FLAGS],
+    "matrix.json": ["matrix", str(TRANSIT), "a01", "--format", "json", *EN_FLAGS],
+    "matrix.csv": ["matrix", str(TRANSIT), "a01", "--format", "csv", *EN_FLAGS],
+    "vector.txt": ["vector", str(TRANSIT), "a01", *EN_FLAGS],
+    "preprocess.txt": ["preprocess", str(TRANSIT / "a01.txt"), *EN_FLAGS],
     # Words followed by separators, before and after their bare forms.
-    "preprocess-punctuation.txt": ["preprocess", str(TEXTS / "punctuation.txt")],
+    "preprocess-punctuation.txt": ["preprocess", str(TEXTS / "punctuation.txt"), *EN_FLAGS],
     # One line in NFC, the next in NFD: a combining mark splits a word.
-    "preprocess-nfd.txt": ["preprocess", str(TEXTS / "nfd.txt")],
-    "sim.txt": ["sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT)],
-    "sim-traditional.txt": [
-        "sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT),
-        "--mode", "traditional",
-    ],
-    "sim-modified.txt": [
-        "sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT),
-        "--mode", "modified",
-    ],
-    "sim-dice-cosine.txt": [
-        "sim", str(TRANSIT / "a01.txt"), str(TRANSIT / "a02.txt"), str(TRANSIT),
-        "--measures", "dice,cosine",
-    ],
-    "vector-traditional.txt": ["vector", str(TRANSIT), "a01", "--mode", "traditional"],
-    "vector-modified.txt": ["vector", str(TRANSIT), "a01", "--mode", "modified"],
+    "preprocess-nfd.txt": ["preprocess", str(TEXTS / "nfd.txt"), *EN_FLAGS],
+    "sim.txt": ["sim", *A01_A02, *EN_FLAGS],
+    "sim-traditional.txt": ["sim", *A01_A02, "--mode", "traditional", *EN_FLAGS],
+    "sim-modified.txt": ["sim", *A01_A02, "--mode", "modified", *EN_FLAGS],
+    "sim-dice-cosine.txt": ["sim", *A01_A02, "--measures", "dice,cosine", *EN_FLAGS],
+    "vector-traditional.txt": ["vector", str(TRANSIT), "a01", "--mode", "traditional", *EN_FLAGS],
+    "vector-modified.txt": ["vector", str(TRANSIT), "a01", "--mode", "modified", *EN_FLAGS],
     "matrix-jaccard.csv": [
-        "matrix", str(TRANSIT), "a01", "--measures", "jaccard", "--format", "csv",
+        "matrix", str(TRANSIT), "a01", "--measures", "jaccard", "--format", "csv", *EN_FLAGS,
     ],
+    # The Kazakh set: case folding of its letters, inflected forms stemmed,
+    # and synonym rows reached through them or written in mixed case.
+    "kk-report.json": ["report", str(OIL), str(STEPPE), "m01", "--format", "json", *KK_FLAGS],
+    "kk-matrix.csv": ["matrix", str(OIL), "m01", "--format", "csv", *KK_FLAGS],
+    "kk-vector.txt": ["vector", str(OIL), "m01", *KK_FLAGS],
+    "kk-preprocess.txt": ["preprocess", str(OIL / "m02.txt"), *KK_FLAGS],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden_bytes(name, capsysbinary):
-    code = main(CASES[name] + FIXTURE_FLAGS)
+    code = main(CASES[name])
     assert code == 0
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
 
