@@ -22,13 +22,15 @@ def check_choice(kind: str, value, allowed: tuple) -> None:
 
 
 class LexiconFormatError(SynsimError):
-    """A lexicon file does not follow its expected line format."""
+    """A lexicon file does not follow its expected line format at ``line_number``."""
 
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
+    def __init__(self, message, line_number):
+        # Both in args, so that pickling and copying rebuild the error.
+        super().__init__(message, line_number)
         self.line_number = line_number
+
+    def __str__(self):
+        return f"line {self.line_number}: {self.args[0]}"
 
 
 class CorpusError(SynsimError):

@@ -101,9 +101,7 @@ def load_stem_lexicon(source) -> dict[str, str]:
     for number, line in _content_lines(source):
         surface, tab, target = line.partition("\t")
         if not tab or "\t" in target:
-            raise LexiconFormatError(
-                f"expected exactly one TAB in {line!r}", line_number=number
-            )
+            raise LexiconFormatError(f"expected exactly one TAB in {line!r}", number)
         # The line is stripped, so both sides hold a non-space character.
         entries[normalize(surface.strip())] = normalize(target.strip())
     return entries

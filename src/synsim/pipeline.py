@@ -8,6 +8,7 @@ word, and reduces a raw document to a bag of stemmed term counts.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import chain, groupby
 from sys import intern
 from typing import Container, Iterable, Mapping, NamedTuple
@@ -57,42 +58,39 @@ class _Frozen:
 
 
 class ProcessedDocument(_Frozen):
-    """A document reduced to stemmed-term counts.
+    """A document reduced to stemmed-term counts: ``id`` and ``counts``, its only fields.
 
-    Every count is at least 1. ``total_tokens`` is the number of tokens that
-    survived filtering, which equals the sum of all counts; it is the
-    term-frequency denominator. The constructor checks both rules;
-    ``preprocess`` builds through ``from_terms``, which skips the check
-    because counting guarantees both rules. ``counts`` defaults to a new
-    empty dict.
+    Every count is at least 1; the constructor checks it. ``preprocess``
+    builds through ``from_terms``, which skips the check because counting
+    guarantees it. ``counts`` defaults to a new empty dict. ``total_tokens``
+    is computed from the counts once, on first use.
     """
 
-    _fields = __match_args__ = ("id", "counts", "total_tokens")
+    _fields = __match_args__ = ("id", "counts")
 
-    def __init__(self, id: str, counts: Mapping[str, int] | None = None, total_tokens: int = 0):
+    def __init__(self, id: str, counts: Mapping[str, int] | None = None):
         if counts is None:
             counts = {}
         if counts and min(counts.values()) < 1:
             term = next(t for t, c in counts.items() if c < 1)
             raise ValueError(f"document {id!r}: term {term!r} has a count below 1")
-        if total_tokens != sum(counts.values()):
-            raise ValueError(
-                f"document {id!r}: total_tokens={total_tokens} "
-                f"does not equal the sum of counts {sum(counts.values())}"
-            )
-        self.__dict__.update(id=id, counts=counts, total_tokens=total_tokens)
+        self.__dict__.update(id=id, counts=counts)
 
     @classmethod
     def from_terms(cls, doc_id: str, terms: Iterable[str]) -> "ProcessedDocument":
         """Count already-stemmed terms, in first-occurrence order.
 
         Built without ``__init__``'s check: each counted term occurs at
-        least once, and the counts add up to the number of terms.
+        least once.
         """
-        counts = Counter(terms)
         doc = object.__new__(cls)
-        doc.__dict__.update(id=doc_id, counts=dict(counts), total_tokens=sum(counts.values()))
+        doc.__dict__.update(id=doc_id, counts=dict(Counter(terms)))
         return doc
+
+    @cached_property
+    def total_tokens(self) -> int:
+        """The tokens that survived filtering, the tf denominator: the sum of the counts."""
+        return sum(self.counts.values())
 
 
 def tokenize(text: str) -> list[str]:

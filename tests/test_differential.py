@@ -26,11 +26,11 @@ one of them freed before the next is loaded.
 ``preprocess`` resolves each distinct whitespace chunk through a memo
 (to the tuple of terms it yields, possibly empty), counts a document's
 chunks in one pass and builds the document through ``from_terms``, without
-the constructor's checks. Its reference calls none of synsim's
+the constructor's check. Its reference calls none of synsim's
 preprocessing code: it splits the text into runs of ``str.isalpha``
 characters itself, lowercases each with ``str.lower``, drops those in the
 stopwords and stems the rest with ``lexicon.get``, and counts the terms
-through the checking constructor. The memo looks up a non-alphabetic
+and their total itself. The memo looks up a non-alphabetic
 chunk token by token, so each distinct word is normalized once; a new
 chunk that ends in a non-letter takes the memo entry of the chunk without
 that character, when the memo holds it, instead of being analysed. Texts
@@ -97,7 +97,7 @@ def reference_weights(doc, docs, vocabulary, mode, rows, modified_idf):
         df = sum(reference_count(term, d, df_mode, rows) > 0 for d in docs)
         # A pair's terms occur in a document of the corpus: doc itself.
         assert df >= 1
-        weight = count / doc.total_tokens * math.log2(len(docs) / df)
+        weight = count / sum(doc.counts.values()) * math.log2(len(docs) / df)
         if weight != 0.0:
             weights[term] = weight
     return weights
@@ -356,16 +356,18 @@ def reference_terms(text, stopwords, lexicon):
 
 
 def reference_preprocess(doc, stopwords, lexicon):
-    # Counted here, not through from_terms, which preprocess uses.
+    """The id, the counts in order and the token total of ``doc``, counted
+    here, not through ``from_terms``, which preprocess uses, nor through
+    ``total_tokens``."""
     terms = reference_terms(doc.text, stopwords, lexicon)
     counts: dict[str, int] = {}
     for term in terms:
         counts[term] = counts.get(term, 0) + 1
-    return ProcessedDocument(id=doc.id, counts=counts, total_tokens=len(terms))
+    return doc.id, list(counts.items()), len(terms)
 
 
 def listed(doc):
-    """A processed document with its counts in order."""
+    """A processed document with its counts in order, and its token total."""
     return doc.id, list(doc.counts.items()), doc.total_tokens
 
 
@@ -397,16 +399,16 @@ def test_preprocess_with_shared_memo_matches_plain_chain(pieces, data):
         stopwords, lexicon = lexical_setting(data, words)
         terms = _ChunkTerms(stopwords, lexicon)
         for doc in docs:
-            expected = listed(reference_preprocess(doc, stopwords, lexicon))
+            expected = reference_preprocess(doc, stopwords, lexicon)
             for out in (
                 preprocess(doc, stopwords, lexicon, terms),
                 preprocess(doc, stopwords, lexicon),
             ):
                 assert listed(out) == expected
-                # Built without the constructor's checks, yet a document
+                # Built without the constructor's check, yet a document
                 # the validating constructor accepts and equals.
                 assert type(out) is ProcessedDocument
-                assert out == ProcessedDocument(out.id, dict(out.counts), out.total_tokens)
+                assert out == ProcessedDocument(out.id, dict(out.counts))
 
 
 # Non-letters that may end a chunk whose prefix is a word: punctuation, a
@@ -446,7 +448,7 @@ def test_preprocess_reuses_a_prefix_entry_only_where_exact(pieces, data):
     terms = _ChunkTerms(stopwords, lexicon)
     with mock.patch.object(synsim.pipeline, "normalize", counted):
         for doc in docs:
-            expected = listed(reference_preprocess(doc, stopwords, lexicon))
+            expected = reference_preprocess(doc, stopwords, lexicon)
             assert listed(preprocess(doc, stopwords, lexicon, terms)) == expected
     # No word is normalized twice per memo. The keys are the chunks and
     # their tokens, each mapped to its own analysis.

@@ -107,9 +107,7 @@ TABLE = synsim.SynonymTable((("alpha", "beta"),))
 # order, then one field and a different value for it.
 RECORDS = {
     "RawDocument": ({"id": "q", "text": "alpha beta"}, "text", "beta"),
-    "ProcessedDocument": (
-        {"id": "q", "counts": {"alpha": 2}, "total_tokens": 2}, "id", "d",
-    ),
+    "ProcessedDocument": ({"id": "q", "counts": {"alpha": 2}}, "id", "d"),
     "SynonymTable": ({"rows": (("alpha", "beta"),)}, "rows", (("alpha", "gamma"),)),
     "WeightingConfig": (
         {"mode": "modified", "synonym_table": TABLE, "modified_idf": "resolved"},
@@ -188,6 +186,29 @@ def test_copies_give_the_cached_values_of_the_original(warm):
         assert twin._terms == ("a", "b")
 
 
+def test_a_processed_document_derives_its_token_total(fixture_corpus):
+    with pytest.raises(TypeError):
+        synsim.ProcessedDocument("d", {"a": 2}, 2)
+    assert synsim.ProcessedDocument("d").total_tokens == 0
+    for build in (
+        lambda: synsim.ProcessedDocument("d", {"b": 2, "a": 1}),
+        lambda: synsim.ProcessedDocument.from_terms("d", ["b", "a", "b"]),
+    ):
+        # Copied before and after the total is first read.
+        cold = build()
+        twins = round_trips(cold)
+        assert cold.total_tokens == 3
+        for twin in (*twins, *round_trips(cold)):
+            assert twin.total_tokens == 3
+        with pytest.raises(AttributeError):
+            cold.total_tokens = 4
+        with pytest.raises(AttributeError):
+            del cold.total_tokens
+        assert cold.total_tokens == 3
+    for doc in fixture_corpus:
+        assert doc.total_tokens == sum(doc.counts.values()) > 0
+
+
 def test_records_that_check_or_cache_hash_their_fields_unless_they_hold_a_dict():
     assert hash(synsim.WeightingConfig("modified", TABLE)) == hash(("modified", TABLE, "resolved"))
     # A table hashes its first term alone.
@@ -210,13 +231,13 @@ def test_records_that_check_or_cache_keep_their_repr():
         ),
         (synsim.SynonymTable(), "SynonymTable(rows=())"),
         (
-            synsim.ProcessedDocument("q", {"alpha": 2}, 2),
-            "ProcessedDocument(id='q', counts={'alpha': 2}, total_tokens=2)",
+            synsim.ProcessedDocument("q", {"alpha": 2}),
+            "ProcessedDocument(id='q', counts={'alpha': 2})",
         ),
-        (synsim.ProcessedDocument("q"), "ProcessedDocument(id='q', counts={}, total_tokens=0)"),
+        (synsim.ProcessedDocument("q"), "ProcessedDocument(id='q', counts={})"),
         (
             synsim.ProcessedDocument.from_terms("q", ["b", "a", "b"]),
-            "ProcessedDocument(id='q', counts={'b': 2, 'a': 1}, total_tokens=3)",
+            "ProcessedDocument(id='q', counts={'b': 2, 'a': 1})",
         ),
         (synsim.DocumentVector(), "DocumentVector(weights={})"),
         (synsim.DocumentVector({"alpha": 0.5}), "DocumentVector(weights={'alpha': 0.5})"),
@@ -224,7 +245,7 @@ def test_records_that_check_or_cache_keep_their_repr():
     for record, text in pins:
         assert repr(record) == text
         # A filled cache is not a field and does not show.
-        for cached in ("row_of", "norm_squared"):
+        for cached in ("row_of", "norm_squared", "total_tokens"):
             getattr(record, cached, None)
         assert repr(record) == text
 
