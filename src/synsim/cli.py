@@ -247,19 +247,18 @@ def cmd_sim(args: argparse.Namespace) -> str:
 
 
 def _tables(args: argparse.Namespace, directories, anchor_id) -> list[ReportTable]:
-    """One table per directory: ``anchor_id`` against the directory's other documents."""
+    """One table per directory: ``anchor_id`` against the directory's other documents.
+
+    An unknown anchor is reported before a directory with no other document.
+    """
     corpus, directory_ids = _load_corpus(args, directories)
+    corpus.document(anchor_id)
+    targets = [[doc_id for doc_id in ids if doc_id != anchor_id] for ids in directory_ids]
+    for directory, ids in zip(directories, targets):
+        if not ids:
+            raise CorpusError(f"directory {directory} has no target for anchor {anchor_id!r}")
     comparison = ComparisonConfig(args.modified_idf)
-    return [
-        anchor_matrix(
-            corpus,
-            anchor_id,
-            [doc_id for doc_id in ids if doc_id != anchor_id],
-            args.measures,
-            comparison,
-        )
-        for ids in directory_ids
-    ]
+    return [anchor_matrix(corpus, anchor_id, ids, args.measures, comparison) for ids in targets]
 
 
 def cmd_matrix(args: argparse.Namespace) -> str:

@@ -22,10 +22,9 @@ def check_choice(kind: str, value, allowed: tuple) -> None:
 
 
 class LexiconFormatError(SynsimError):
-    """A lexicon file does not follow its expected line format at ``line_number``."""
+    """A lexicon file breaks its line format at ``line_number``; ``args`` holds both."""
 
     def __init__(self, message, line_number):
-        # Both in args, so that pickling and copying rebuild the error.
         super().__init__(message, line_number)
         self.line_number = line_number
 

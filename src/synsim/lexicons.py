@@ -78,28 +78,32 @@ def _open_lines(source) -> Iterator[str]:
 
 
 def _content_lines(source) -> Iterator[tuple[int, str]]:
-    """Numbered lines with blanks and # comments removed."""
-    for number, raw in enumerate(_open_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield number, line
+    """Numbered lines, as read, with blank and # comment lines removed."""
+    for number, line in enumerate(_open_lines(source), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield number, line
 
 
 def load_stopwords(source) -> frozenset[str]:
     """Read a stopword file: one word per line, normalized, deduplicated."""
-    return frozenset(normalize(line) for _, line in _content_lines(source))
+    return frozenset(normalize(line.strip()) for _, line in _content_lines(source))
 
 
 def load_stem_lexicon(source) -> dict[str, str]:
     """Read a surface-to-stem TSV; the last entry for a surface form wins.
 
-    Each line is split once at its first TAB; a line with no TAB, or with a
-    second one, raises ``LexiconFormatError``.
+    Each line is stripped, then split once at its first TAB; a line with no
+    TAB or a second one raises ``LexiconFormatError``. Where stripping took
+    the only TAB, a side was empty, and the message names that side.
     """
     entries: dict[str, str] = {}
-    for number, line in _content_lines(source):
+    for number, raw in _content_lines(source):
+        line = raw.strip()
         surface, tab, target = line.partition("\t")
+        if not tab and "\t" in raw:
+            side = "stem" if raw.partition("\t")[0].strip() else "surface form"
+            raise LexiconFormatError(f"empty {side} in {raw!r}", number)
         if not tab or "\t" in target:
             raise LexiconFormatError(f"expected exactly one TAB in {line!r}", number)
         # The line is stripped, so both sides hold a non-space character.

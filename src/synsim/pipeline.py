@@ -69,19 +69,17 @@ class ProcessedDocument(_Frozen):
     _fields = __match_args__ = ("id", "counts")
 
     def __init__(self, id: str, counts: Mapping[str, int] | None = None):
-        if counts is None:
-            counts = {}
-        if counts and min(counts.values()) < 1:
-            term = next(t for t, c in counts.items() if c < 1)
-            raise ValueError(f"document {id!r}: term {term!r} has a count below 1")
+        counts = {} if counts is None else counts
+        for term, count in counts.items():
+            if count < 1:
+                raise ValueError(f"document {id!r}: term {term!r} has a count below 1")
         self.__dict__.update(id=id, counts=counts)
 
     @classmethod
     def from_terms(cls, doc_id: str, terms: Iterable[str]) -> "ProcessedDocument":
         """Count already-stemmed terms, in first-occurrence order.
 
-        Built without ``__init__``'s check: each counted term occurs at
-        least once.
+        Built without ``__init__``'s check: each counted term occurs at least once.
         """
         doc = object.__new__(cls)
         doc.__dict__.update(id=doc_id, counts=dict(Counter(terms)))

@@ -238,6 +238,30 @@ def test_absent_anchor_exits_2_with_one_error_line(argv, capsys):
     assert err.splitlines() == ["synsim: error: no document with id 'zz'"]
 
 
+@pytest.mark.parametrize(
+    "command, directories",
+    [
+        ("matrix", ["only"]),
+        ("report", [str(TRANSIT), "empty"]),
+        ("report", ["only", str(ORCHARD)]),
+    ],
+    ids=["matrix-only-anchor", "report-empty-dissimilar", "report-only-anchor-similar"],
+)
+def test_a_directory_with_no_target_for_the_anchor_is_named(
+    command, directories, tmp_path, capsys
+):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "only").mkdir()
+    shutil.copy(TRANSIT / "a01.txt", tmp_path / "only")
+    directories = [str(tmp_path / d) if d in ("empty", "only") else d for d in directories]
+    culprit = next(d for d in directories if Path(d).parent == tmp_path)
+    code, out, err = run(capsys, command, *directories, "a01", *FIXTURE_FLAGS)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"synsim: error: directory {culprit} has no target for anchor 'a01'"
+    ]
+
+
 def test_matrix_single_document_corpus_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -1,6 +1,8 @@
 """Lexicon file loading: stopwords, stem table, synonym table."""
 
+import copy
 import io
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -67,13 +69,34 @@ def test_load_stem_lexicon_two_tabs_is_an_error():
 
 
 @pytest.mark.parametrize(
-    "line", ["\tb", "a\t", "x\t\x1c"], ids=["no-surface", "no-stem", "space-stem"]
+    "line, message",
+    [
+        ("\tb", "empty surface form in '\\tb'"),
+        ("a\t", "empty stem in 'a\\t'"),
+        # U+001C ends a line, so the stem is empty.
+        ("x\t\x1c", "empty stem in 'x\\t'"),
+        (" \t\u00a0b", "empty surface form in ' \\t\\xa0b'"),
+        ("\ta\t", "empty surface form in '\\ta\\t'"),
+    ],
+    ids=["no-surface", "no-stem", "space-stem", "space-surface", "no-surface-no-stem"],
 )
-def test_load_stem_lexicon_empty_side_is_an_error(line):
-    # Lines are stripped before splitting, so an empty side leaves no TAB.
-    with pytest.raises(LexiconFormatError, match="expected exactly one TAB") as err:
+def test_load_stem_lexicon_empty_side_is_an_error(line, message):
+    # Lines are stripped before splitting, so an empty side's TAB is
+    # stripped away too; the error names the side, not a missing TAB.
+    with pytest.raises(LexiconFormatError) as err:
         load_stem_lexicon(io.StringIO(f"ok\tfine\n{line}\n"))
+    assert str(err.value) == f"line 2: {message}"
     assert err.value.line_number == 2
+
+
+def test_lexicon_format_error_pickles_and_copies_with_its_line_number():
+    error = LexiconFormatError("empty stem in 'a\\t'", 4)
+    for twin in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+        assert (type(twin), str(twin), twin.line_number) == (
+            LexiconFormatError, "line 4: empty stem in 'a\\t'", 4,
+        )
+    with pytest.raises(TypeError):
+        LexiconFormatError("no line number")
 
 
 def test_load_stem_lexicon_reports_later_line_numbers():
@@ -83,13 +106,20 @@ def test_load_stem_lexicon_reports_later_line_numbers():
 
 
 def split_stem_lexicon(text):
-    """The stem lexicon read by splitting each line into a list at every TAB."""
+    """The stem lexicon read by splitting each line into a list at every TAB.
+
+    A stripped line with no TAB whose raw form has one lost it, with an
+    empty side, to the stripping.
+    """
     entries = {}
     for number, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
+        if parts == [line] and "\t" in raw:
+            side = "surface form" if raw.split("\t")[0].isspace() or raw[0] == "\t" else "stem"
+            raise LexiconFormatError(f"empty {side} in {raw!r}", line_number=number)
         if len(parts) != 2:
             raise LexiconFormatError(f"expected exactly one TAB in {line!r}", line_number=number)
         surface, target = (normalize(p.strip()) for p in parts)
