@@ -49,11 +49,14 @@ class UnknownDocumentError(CorpusError):
 
 
 class ZeroDocumentFrequencyError(SynsimError):
-    """A term has document frequency zero and smoothing is disabled."""
+    """A term has document frequency zero and smoothing is disabled; ``args`` holds the term."""
 
     def __init__(self, term):
-        super().__init__(
-            f"term {term!r} appears in no document; "
+        super().__init__(term)
+        self.term = term
+
+    def __str__(self):
+        return (
+            f"term {self.term!r} appears in no document; "
             "division by zero (enable plus_one_when_zero smoothing)"
         )
-        self.term = term

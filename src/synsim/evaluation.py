@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import io
 import json
-import operator
-from functools import reduce
 from pathlib import Path
-from typing import Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple
 
 from .errors import (
     ConfigError,
@@ -195,25 +193,20 @@ def compare_pair(
     return anchor_matrix(corpus, id_a, [id_b], [measure], config).rows[0]
 
 
-def _sum_left_to_right(values: Iterable[float]) -> float:
-    # Built-in sum() of floats is compensated since Python 3.12; adding left
-    # to right keeps every score the same bits on every Python version.
-    return reduce(operator.add, values, 0.0)
-
-
 def anchor_matrix(
     corpus: Corpus,
     anchor_id: str,
-    target_ids: Sequence[str],
-    measures: Sequence[str] = MEASURES,
+    target_ids: Iterable[str],
+    measures: Iterable[str] = MEASURES,
     config: ComparisonConfig = ComparisonConfig(),
 ) -> ReportTable:
     """Score ``anchor_id`` against every target, with per-measure averages.
 
-    Rows are ordered by target (in the given order), then by measure. An
-    unknown anchor is reported first; then a ``str`` as ``target_ids`` or
-    ``measures``, whose characters would be read as ids or measures; then
-    an empty target list.
+    ``target_ids`` and ``measures`` may be any iterables of strings; each is
+    read once. Rows are ordered by target (in the given order), then by
+    measure. An unknown anchor is reported first; then a ``str`` as
+    ``target_ids`` or ``measures``, whose characters would be read as ids or
+    measures; then an empty target list.
 
     A term's weight depends on the term, the document and the weighting,
     never on the pair; the pair only keeps the union of the two documents'
@@ -231,7 +224,8 @@ def anchor_matrix(
     anchor = corpus.document(anchor_id)
     for name, value in (("target_ids", target_ids), ("measures", measures)):
         if isinstance(value, str):
-            raise ConfigError(f"{name} must be a sequence of strings, not the str {value!r}")
+            raise ConfigError(f"{name} must be an iterable of strings, not the str {value!r}")
+    target_ids, measures = tuple(target_ids), tuple(measures)
     if not target_ids:
         raise CorpusError(f"anchor {anchor_id!r} has no targets to compare against")
     traditional, modified = config.weightings(corpus)
@@ -239,6 +233,8 @@ def anchor_matrix(
     a_trad = vectorize(anchor, corpus, a_terms, traditional)
     a_own = vectorize(anchor, corpus, a_terms, modified)
     rows: list[PairResult] = []
+    # Per measure: row count and sums, added left to right (sum() is compensated on 3.12+).
+    totals = {measure: [0, 0.0, 0.0, 0.0] for measure in measures}
     for target_id in target_ids:
         target = corpus.document(target_id)
         b_terms = sorted(target.counts)
@@ -251,6 +247,7 @@ def anchor_matrix(
         for measure in measures:
             traditional_value = similarity(measure, a_trad, b_trad).value
             modified_value = similarity(measure, a_mod, b_mod).value
+            delta = modified_value - traditional_value
             rows.append(
                 PairResult(
                     anchor_id=anchor_id,
@@ -258,18 +255,18 @@ def anchor_matrix(
                     measure=measure,
                     traditional=traditional_value,
                     modified=modified_value,
-                    delta=modified_value - traditional_value,
+                    delta=delta,
                 )
             )
-    averages: dict[str, MeasureAverages] = {}
-    for measure in measures:
-        group = [r for r in rows if r.measure == measure]
-        n = len(group)
-        averages[measure] = MeasureAverages(
-            traditional=_sum_left_to_right(r.traditional for r in group) / n,
-            modified=_sum_left_to_right(r.modified for r in group) / n,
-            delta=_sum_left_to_right(r.delta for r in group) / n,
-        )
+            total = totals[measure]
+            total[0] += 1
+            total[1] += traditional_value
+            total[2] += modified_value
+            total[3] += delta
+    averages = {
+        measure: MeasureAverages(*(total / n for total in sums))
+        for measure, (n, *sums) in totals.items()
+    }
     return ReportTable(anchor_id=anchor_id, rows=tuple(rows), averages=averages)
 
 

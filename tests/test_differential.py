@@ -209,11 +209,17 @@ def test_anchor_matrix_matches_reference(term_lists, table, configs, data):
         anchor = data.draw(st.sampled_from(corpus.ids))
         targets = data.draw(st.lists(st.sampled_from(corpus.ids), min_size=1, max_size=5))
         report = anchor_matrix(corpus, anchor, targets, MEASURES, config)
+        # Per measure: the reference rows' traditional, modified and delta sums.
+        sums = {measure: [0.0, 0.0, 0.0] for measure in MEASURES}
         for row in report.rows:
-            assert (row.anchor_id, row.traditional.hex(), row.modified.hex()) == (
-                anchor,
-                *reference_scores(corpus, anchor, row.target_id, row.measure, config),
-            )
+            expected = reference_scores(corpus, anchor, row.target_id, row.measure, config)
+            assert (row.anchor_id, *hexed(row)) == (anchor, *expected)
+            traditional, modified = map(float.fromhex, expected)
+            for i, value in enumerate((traditional, modified, modified - traditional)):
+                sums[row.measure][i] += value
+        for measure, columns in sums.items():
+            averages = report.averages[measure]
+            assert [a.hex() for a in averages] == [(c / len(targets)).hex() for c in columns]
 
 
 def drawn_call(corpus, data):

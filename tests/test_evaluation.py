@@ -11,6 +11,7 @@ import pytest
 import synsim.pipeline
 import synsim.weighting
 from synsim import (
+    MEASURES,
     ComparisonConfig,
     ConfigError,
     Corpus,
@@ -209,18 +210,36 @@ def test_anchor_matrix_row_order(fixture_corpus):
     assert [r.measure for r in table.rows[:2]] == ["cosine", "dice"]
 
 
+def added_in_order(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def assert_averages_are_left_folds(table):
+    """Each average is its measure's rows added left to right, then
+    divided by their number, bit for bit."""
+    for measure, averages in table.averages.items():
+        group = [r for r in table.rows if r.measure == measure]
+        columns = zip(*(r[3:] for r in group))
+        assert averages == MeasureAverages(*(added_in_order(c) / len(group) for c in columns))
+
+
 def test_anchor_matrix_averages_match_recomputation(fixture_corpus):
     targets = [f"a{i:02d}" for i in range(2, 11)]
     table = anchor_matrix(fixture_corpus, "a01", targets)
     assert len(table.rows) == 9 * 3
-    for measure, averages in table.averages.items():
-        group = [r for r in table.rows if r.measure == measure]
-        assert averages.traditional == pytest.approx(
-            sum(r.traditional for r in group) / 9, abs=1e-9
-        )
-        assert averages.delta == pytest.approx(
-            sum(r.delta for r in group) / 9, abs=1e-9
-        )
+    assert_averages_are_left_folds(table)
+
+
+def test_anchor_matrix_averages_a_measure_listed_twice_over_both_runs(fixture_corpus):
+    targets = [f"a{i:02d}" for i in range(2, 11)]
+    table = anchor_matrix(fixture_corpus, "a01", targets, ("cosine", "dice", "cosine"))
+    assert len(table.rows) == 9 * 3
+    assert table.measures == ("cosine", "dice")
+    assert [r.measure for r in table.rows[:3]] == ["cosine", "dice", "cosine"]
+    assert_averages_are_left_folds(table)
 
 
 def test_anchor_matrix_resolves_only_terms_that_hit(fixture_corpus, monkeypatch):
@@ -244,6 +263,22 @@ def test_anchor_matrix_resolves_only_terms_that_hit(fixture_corpus, monkeypatch)
 def test_anchor_matrix_no_targets(planted):
     with pytest.raises(CorpusError):
         anchor_matrix(planted, "q", [])
+
+
+def test_anchor_matrix_reads_its_targets_and_measures_once(fixture_corpus):
+    # A generator can be walked once: scoring each target must not use up
+    # the measures, and the empty check must see the targets it scores.
+    targets = [f"a{i:02d}" for i in range(2, 11)]
+    table = anchor_matrix(fixture_corpus, "a01", targets, list(MEASURES))
+    assert anchor_matrix(fixture_corpus, "a01", targets, (m for m in MEASURES)) == table
+    assert anchor_matrix(fixture_corpus, "a01", iter(targets), iter(MEASURES)) == table
+    assert len(table.rows) == 9 * 3 and table.measures == MEASURES
+    with pytest.raises(CorpusError, match="no targets"):
+        anchor_matrix(fixture_corpus, "a01", iter([]))
+    with pytest.raises(ConfigError, match="target_ids"):
+        anchor_matrix(fixture_corpus, "a01", "a02")
+    with pytest.raises(UnknownDocumentError):
+        anchor_matrix(fixture_corpus, "missing", iter([]))
 
 
 def test_anchor_matrix_rejects_a_str_of_targets_or_measures(tmp_path):

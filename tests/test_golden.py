@@ -90,3 +90,8 @@ def test_config_file_output_matches_golden_bytes(tmp_path, capsysbinary):
     code = main(["matrix", str(TRANSIT), "a01", "--config", str(config)])
     assert code == 0
     assert capsysbinary.readouterr().out == (GOLDEN / "matrix-config.csv").read_bytes()
+
+
+def test_the_cases_name_exactly_the_golden_files():
+    # A golden file no case writes, or a case with no file, is a mistake.
+    assert sorted([*CASES, "matrix-config.csv"]) == sorted(p.name for p in GOLDEN.iterdir())

@@ -171,6 +171,39 @@ def test_records_pickle_and_copy_to_equal_records_of_their_type(name):
         assert twin == record
 
 
+# Each exported error class: its arguments, then its message.
+ERRORS = {
+    "SynsimError": (("failed",), "failed"),
+    "ConfigError": (("unknown mode 'x'",), "unknown mode 'x'"),
+    "LexiconFormatError": (("empty stem in 'a\\t'", 4), "line 4: empty stem in 'a\\t'"),
+    "CorpusError": (("not a readable directory: d",), "not a readable directory: d"),
+    "EmptyCorpusError": (("no .txt documents",), "no .txt documents"),
+    "DuplicateDocumentError": (("id 'q' twice",), "id 'q' twice"),
+    "UnknownDocumentError": (("no document with id 'q'",), "no document with id 'q'"),
+    "ZeroDocumentFrequencyError": (
+        ("x",),
+        "term 'x' appears in no document; division by zero (enable plus_one_when_zero smoothing)",
+    ),
+}
+
+
+def test_every_exported_error_pickles_and_copies_with_its_message():
+    exported = {
+        name for name in synsim.__all__
+        if isinstance(getattr(synsim, name), type)
+        and issubclass(getattr(synsim, name), synsim.SynsimError)
+    }
+    assert exported == set(ERRORS)
+    for name, (args, message) in ERRORS.items():
+        error = getattr(synsim, name)(*args)
+        assert (str(error), error.args) == (message, args)
+        for twin in round_trips(error):
+            assert type(twin) is type(error)
+            assert (str(twin), twin.args) == (message, args)
+            for attribute in ("term", "line_number"):
+                assert getattr(twin, attribute, None) == getattr(error, attribute, None)
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "cached"])
 def test_copies_give_the_cached_values_of_the_original(warm):
     table = synsim.SynonymTable((("a", "b"), ("b", "c")))

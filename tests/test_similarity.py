@@ -7,8 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synsim import ConfigError, DocumentVector, cosine, dice, dot, jaccard, similarity
-from synsim.evaluation import _sum_left_to_right
+import synsim.evaluation
+from synsim import (
+    ConfigError,
+    Corpus,
+    DocumentVector,
+    ProcessedDocument,
+    SimilarityScore,
+    anchor_matrix,
+    cosine,
+    dice,
+    dot,
+    jaccard,
+    similarity,
+)
 
 
 def vec(values) -> dict:
@@ -54,10 +66,20 @@ def test_dot_and_norm_add_left_to_right():
     assert DocumentVector({"a": 1.0, "b": 1e-8, "c": 1e-8}).norm_squared == 1.0
 
 
-def test_report_averages_add_left_to_right():
-    # anchor_matrix averages its rows through this sum; built-in sum() since
-    # Python 3.12 would give 1.0000000000000002.
-    assert _sum_left_to_right([1.0, 1e-16, 1e-16]) == 1.0
+def test_report_averages_add_left_to_right(monkeypatch):
+    # anchor_matrix sums each measure's rows as it scores them; built-in
+    # sum() since Python 3.12 would give 1.0000000000000002 / 3.
+    # Each target is scored traditional, then modified.
+    values = iter([1.0, 1.0, 1e-16, 1e-16, 1e-16, 1e-16])
+
+    def fake(measure, a, b):
+        return SimilarityScore(next(values), measure)
+
+    monkeypatch.setattr(synsim.evaluation, "similarity", fake)
+    corpus = Corpus([ProcessedDocument.from_terms(i, ["t"]) for i in ("q", "a", "b", "c")])
+    table = anchor_matrix(corpus, "q", ["a", "b", "c"], ["cosine"])
+    assert [r.traditional for r in table.rows] == [1.0, 1e-16, 1e-16]
+    assert table.averages["cosine"] == (1.0 / 3, 1.0 / 3, 0.0)
 
 
 def test_dot_and_jaccard_match_union_sums_bitwise():
