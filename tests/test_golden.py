@@ -56,6 +56,11 @@ CASES = {
     "matrix-jaccard.csv": [
         "matrix", str(TRANSIT), "a01", "--measures", "jaccard", "--format", "csv", *EN_FLAGS,
     ],
+    # A measure listed twice is scored once, in first-listed order.
+    "matrix-measures-twice.csv": [
+        "matrix", str(TRANSIT), "a01", "--measures", "dice,cosine,dice", "--format", "csv",
+        *EN_FLAGS,
+    ],
     # The Kazakh set: case folding of its letters, inflected forms stemmed,
     # and synonym rows reached through them or written in mixed case.
     "kk-report.json": ["report", str(OIL), str(STEPPE), "m01", "--format", "json", *KK_FLAGS],
