@@ -21,6 +21,7 @@ from .evaluation import (
     FORMATS,
     ComparisonConfig,
     ReportTable,
+    _measure_names,
     anchor_matrix,
     delta_summary,
     format_score,
@@ -105,19 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_measures(value) -> list[str]:
-    if isinstance(value, str):
-        value = [m.strip() for m in value.split(",") if m.strip()]
-    elif not (isinstance(value, list) and all(isinstance(m, str) for m in value)):
-        raise ConfigError(f"measures must be a string or a list of strings, not {value!r}")
-    measures = list(dict.fromkeys(value))
-    if not measures:
-        raise ConfigError("at least one measure is required")
-    for measure in measures:
-        check_choice("measure", measure, MEASURES)
-    return measures
-
-
 def _load_config_file(path) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8-sig")
@@ -149,7 +137,12 @@ def resolve_config(args: argparse.Namespace) -> None:
     check_choice("mode", args.mode, MODES)
     check_choice("format", args.format, FORMATS)
     check_choice("modified_idf", args.modified_idf, MODIFIED_IDFS)
-    args.measures = _parse_measures(args.measures)
+    measures = args.measures
+    if isinstance(measures, str):
+        measures = [m.strip() for m in measures.split(",") if m.strip()]
+    elif not (isinstance(measures, list) and all(isinstance(m, str) for m in measures)):
+        raise ConfigError(f"measures must be a string or a list of strings, not {measures!r}")
+    args.measures = _measure_names(measures)
     if not args.stopwords:
         raise ConfigError("--stopwords is required")
     if not args.stems:

@@ -151,15 +151,15 @@ def load_corpus(
     :func:`read_documents` returned for that directory, so a caller that
     needs each directory's documents reads the directory only once.
     Documents are ordered by id. A directory given twice (compared after
-    resolving its path), a duplicate id across directories and an entirely
-    empty corpus are errors.
+    resolving its path), a duplicate id across directories (naming both
+    files) and an entirely empty corpus are errors.
     """
     if isinstance(directories, (str, Path)):
         directories = [directories]
     names = []
     places: set[Path] = set()
     raw: list[RawDocument] = []
-    seen: set[str] = set()
+    seen: dict[str, str | Path] = {}  # each id's directory
     for entry in directories:
         directory, docs = entry if isinstance(entry, tuple) else (entry, None)
         place = Path(directory).resolve()
@@ -169,10 +169,12 @@ def load_corpus(
         names.append(directory)
         for doc in read_documents(directory) if docs is None else docs:
             if doc.id in seen:
+                first, second = (Path(d, f"{doc.id}.txt") for d in (seen[doc.id], directory))
                 raise DuplicateDocumentError(
-                    f"document id {doc.id!r} appears in more than one directory"
+                    f"document id {doc.id!r} appears in more than one directory: "
+                    f"{first} and {second}"
                 )
-            seen.add(doc.id)
+            seen[doc.id] = directory
             raw.append(doc)
     if not raw:
         raise EmptyCorpusError(f"no .txt documents found under {names}")
@@ -182,6 +184,18 @@ def load_corpus(
     return Corpus(processed, synonym_table=synonym_table)
 
 
+def _measure_names(measures) -> tuple[str, ...]:
+    """Each of ``measures`` once, in first-listed order, every one checked."""
+    if isinstance(measures, str):
+        raise ConfigError(f"measures must be an iterable of strings, not the str {measures!r}")
+    names = tuple(dict.fromkeys(measures))
+    if not names:
+        raise ConfigError("at least one measure is required")
+    for name in names:
+        check_choice("measure", name, MEASURES)
+    return names
+
+
 def compare_pair(
     corpus: Corpus,
     id_a: str,
@@ -189,7 +203,12 @@ def compare_pair(
     measure: str,
     config: ComparisonConfig = ComparisonConfig(),
 ) -> PairResult:
-    """Traditional and modified scores of one pair under one measure."""
+    """Traditional and modified scores of one pair under one measure.
+
+    An unknown ``id_a``, then an unknown ``measure``, then an unknown
+    ``id_b`` is reported, as :func:`anchor_matrix` reports it, before any
+    weighting.
+    """
     return anchor_matrix(corpus, id_a, [id_b], [measure], config).rows[0]
 
 
@@ -203,10 +222,12 @@ def anchor_matrix(
     """Score ``anchor_id`` against every target, with per-measure averages.
 
     ``target_ids`` and ``measures`` may be any iterables of strings; each is
-    read once. Rows are ordered by target (in the given order), then by
-    measure. An unknown anchor is reported first; then a ``str`` as
-    ``target_ids`` or ``measures``, whose characters would be read as ids or
-    measures; then an empty target list.
+    read once, and each measure is scored once, in first-listed order. Rows
+    are ordered by target (in the given order), then by measure. Before any
+    weighting, an unknown anchor is reported first; then a ``str`` as
+    ``target_ids``, whose characters would be read as ids; then the
+    measures: a ``str``, none, or an unknown name; then each unknown target
+    id; then an empty target list.
 
     A term's weight depends on the term, the document and the weighting,
     never on the pair; the pair only keeps the union of the two documents'
@@ -222,21 +243,20 @@ def anchor_matrix(
     documents over the pair union.
     """
     anchor = corpus.document(anchor_id)
-    for name, value in (("target_ids", target_ids), ("measures", measures)):
-        if isinstance(value, str):
-            raise ConfigError(f"{name} must be an iterable of strings, not the str {value!r}")
-    target_ids, measures = tuple(target_ids), tuple(measures)
-    if not target_ids:
+    if isinstance(target_ids, str):
+        raise ConfigError(f"target_ids must be an iterable of strings, not the str {target_ids!r}")
+    measures = _measure_names(measures)
+    targets = [corpus.document(target_id) for target_id in target_ids]
+    if not targets:
         raise CorpusError(f"anchor {anchor_id!r} has no targets to compare against")
     traditional, modified = config.weightings(corpus)
     a_terms = sorted(anchor.counts)
     a_trad = vectorize(anchor, corpus, a_terms, traditional)
     a_own = vectorize(anchor, corpus, a_terms, modified)
     rows: list[PairResult] = []
-    # Per measure: row count and sums, added left to right (sum() is compensated on 3.12+).
-    totals = {measure: [0, 0.0, 0.0, 0.0] for measure in measures}
-    for target_id in target_ids:
-        target = corpus.document(target_id)
+    # Per measure: sums added left to right (sum() is compensated on 3.12+).
+    totals = {measure: [0.0, 0.0, 0.0] for measure in measures}
+    for target in targets:
         b_terms = sorted(target.counts)
         b_trad = vectorize(target, corpus, b_terms, traditional)
         a_lacks = [t for t in a_terms if t not in target.counts]
@@ -251,7 +271,7 @@ def anchor_matrix(
             rows.append(
                 PairResult(
                     anchor_id=anchor_id,
-                    target_id=target_id,
+                    target_id=target.id,
                     measure=measure,
                     traditional=traditional_value,
                     modified=modified_value,
@@ -259,13 +279,12 @@ def anchor_matrix(
                 )
             )
             total = totals[measure]
-            total[0] += 1
-            total[1] += traditional_value
-            total[2] += modified_value
-            total[3] += delta
+            total[0] += traditional_value
+            total[1] += modified_value
+            total[2] += delta
     averages = {
-        measure: MeasureAverages(*(total / n for total in sums))
-        for measure, (n, *sums) in totals.items()
+        measure: MeasureAverages(*(total / len(targets) for total in sums))
+        for measure, sums in totals.items()
     }
     return ReportTable(anchor_id=anchor_id, rows=tuple(rows), averages=averages)
 

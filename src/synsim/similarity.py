@@ -7,6 +7,11 @@ denominator of ``s = dot(x, y)`` and the squared norms ``xx`` and ``yy``:
 * Jaccard: ``s / (xx + yy - s)``, 0 when that denominator is 0;
 * Dice: ``2.0 * s / (xx + yy)``, 0 when that denominator is 0.
 
+Cosine tests the two norms, not their product: a squared norm may
+overflow to inf while the other is 0, and ``inf * 0.0`` is nan. Dice
+doubles its numerator rather than halving its denominator, since at
+subnormal scale ``(xx + yy) / 2`` rounds and moves the value.
+
 Every value is capped at 1.0. For vectors with nonnegative components the
 measures are symmetric, land in [0, 1], are 1 on identical nonzero vectors
 and 0 when either vector is zero, so empty documents score 0.

@@ -338,6 +338,19 @@ def test_report_overlapping_ids_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_report_duplicate_id_names_both_files(tmp_path, capsys):
+    one, two = tmp_path / "one", tmp_path / "two"
+    for directory in (one, two):
+        shutil.copytree(TRANSIT, directory)
+    code, out, err = run(capsys, "report", str(one), str(two), "a01", *FIXTURE_FLAGS)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "synsim: error: document id 'a01' appears in more than one directory: "
+        f"{one / 'a01.txt'} and {two / 'a01.txt'}\n"
+    )
+
+
 def test_report_same_directory_twice_names_it(capsys):
     code, out, err = run(capsys, "report", str(TRANSIT), str(TRANSIT), "a01", *FIXTURE_FLAGS)
     assert code == 2

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import synsim.evaluation
 import synsim.pipeline
 import synsim.weighting
 from synsim import (
@@ -233,13 +234,57 @@ def test_anchor_matrix_averages_match_recomputation(fixture_corpus):
     assert_averages_are_left_folds(table)
 
 
-def test_anchor_matrix_averages_a_measure_listed_twice_over_both_runs(fixture_corpus):
+def test_anchor_matrix_scores_a_measure_listed_twice_once(fixture_corpus):
+    # Averaged over both runs, cosine's traditional average would move in
+    # its last bits: 0.12735594228444463 once, 0.1273559422844446 twice.
     targets = [f"a{i:02d}" for i in range(2, 11)]
-    table = anchor_matrix(fixture_corpus, "a01", targets, ("cosine", "dice", "cosine"))
-    assert len(table.rows) == 9 * 3
-    assert table.measures == ("cosine", "dice")
-    assert [r.measure for r in table.rows[:3]] == ["cosine", "dice", "cosine"]
-    assert_averages_are_left_folds(table)
+    once = anchor_matrix(fixture_corpus, "a01", targets, ("cosine", "dice"))
+    twice = anchor_matrix(fixture_corpus, "a01", targets, ("cosine", "dice", "cosine"))
+    assert twice.rows == once.rows and len(once.rows) == 9 * 2
+    assert list(twice.averages.items()) == list(once.averages.items())
+
+
+@pytest.mark.parametrize(
+    ("targets", "measures", "error"),
+    [
+        (["a02", "a03"], ["cosine", "bogus"], ConfigError),
+        (["a02"], [], ConfigError),
+        (["a02", "zz"], ["cosine"], UnknownDocumentError),
+    ],
+    ids=["unknown-measure", "no-measures", "unknown-target"],
+)
+def test_anchor_matrix_reports_a_bad_setting_before_any_weighting(
+    fixture_corpus, monkeypatch, targets, measures, error
+):
+    calls = []
+    vectorize = synsim.evaluation.vectorize
+
+    def counted(doc, *args):
+        calls.append(doc.id)
+        return vectorize(doc, *args)
+
+    monkeypatch.setattr(synsim.evaluation, "vectorize", counted)
+    with pytest.raises(error):
+        anchor_matrix(fixture_corpus, "a01", targets, measures)
+    assert calls == []
+
+
+def test_anchor_matrix_reports_its_errors_in_order(fixture_corpus):
+    # The anchor, a str of targets, the measures, each target, no target.
+    with pytest.raises(UnknownDocumentError, match="'zz'"):
+        anchor_matrix(fixture_corpus, "zz", "a02", "bogus")
+    with pytest.raises(ConfigError, match="target_ids"):
+        anchor_matrix(fixture_corpus, "a01", "a02", "bogus")
+    with pytest.raises(ConfigError, match="measures must be"):
+        anchor_matrix(fixture_corpus, "a01", ["zz"], "bogus")
+    with pytest.raises(ConfigError, match="unknown measure 'bogus'"):
+        anchor_matrix(fixture_corpus, "a01", ["zz"], ["cosine", "bogus"])
+    with pytest.raises(ConfigError, match="at least one measure"):
+        anchor_matrix(fixture_corpus, "a01", [], [])
+    with pytest.raises(UnknownDocumentError, match="'zz'"):
+        anchor_matrix(fixture_corpus, "a01", ["a02", "zz"], ["cosine"])
+    with pytest.raises(CorpusError, match="no targets"):
+        anchor_matrix(fixture_corpus, "a01", [], ["cosine"])
 
 
 def test_anchor_matrix_resolves_only_terms_that_hit(fixture_corpus, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import synsim.evaluation
 from synsim import (
+    MEASURES,
     ConfigError,
     Corpus,
     DocumentVector,
@@ -187,6 +188,24 @@ def test_zero_vectors_score_zero():
     for fn in (cosine, jaccard, dice):
         assert fn(z, z) == 0.0
         assert fn(vec([1, 1]), z) == 0.0
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("y", [{}, {"a": 1e-200}], ids=["empty", "tiny"])
+def test_a_norm_that_overflows_against_a_zero_one_scores_zero(measure, y):
+    # |x|² overflows to inf and |y|² is 0, so sqrt(inf) * sqrt(0.0) is nan;
+    # cosine tests the two norms, not their product.
+    x = {"a": 1e200}
+    assert similarity(measure, x, y).value == 0.0
+    assert similarity(measure, y, x).value == 0.0
+
+
+def test_dice_doubles_its_numerator_not_halves_its_denominator():
+    # At subnormal scale (xx + yy) / 2 rounds: s / ((xx + yy) / 2) gives
+    # 0.8400556328233658 here.
+    x = {"a": 5.442292252959519e-161, "b": 6.039200385961945e-161, "c": 6.552885923981311e-162}
+    y = {"a": 8.3746908209646e-161, "b": 2.3433096104669637e-161}
+    assert dice(x, y) == 0.8397636426833507
 
 
 def test_score_carries_measure_name():
